@@ -261,7 +261,7 @@ def _add_common(p):
     p.add_argument("--out", default=".", help="output directory")
 
 
-def main(argv=None):
+def build_parser():
     parser = argparse.ArgumentParser(
         prog="spinlap",
         description="spinor Laplacians on translation surfaces: numerical lab")
@@ -307,7 +307,9 @@ def main(argv=None):
     p = sub.add_parser("determinants", help="T(0), comparison formula, Q test")
     p.add_argument("--moduli", required=True)
     p.add_argument("--spins", default="even:0,even:1")
-    p.add_argument("--h", type=float, default=0.05)
+    # with Richardson on, the partner mesh has size 1.4 h, which must still
+    # resolve the shortest slit (1.4 * 0.05 does not on the README's g2.json)
+    p.add_argument("--h", type=float, default=0.04)
     p.add_argument("--num-eigs", type=int, default=160)
     p.add_argument("--no-richardson", action="store_true")
     _add_common(p)
@@ -317,8 +319,11 @@ def main(argv=None):
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_report)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None):
+    args = build_parser().parse_args(argv)
     os.makedirs(getattr(args, "out", ".") or ".", exist_ok=True)
     return args.func(args)
 

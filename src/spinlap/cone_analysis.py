@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import ive
+from scipy.special import gamma, ive
 
 
 class ResonanceError(ValueError):
@@ -32,45 +32,12 @@ class PoleError(ValueError):
 
 
 class QuadratureError(RuntimeError):
-    """Contour quadrature parameters failed to produce a convergent value."""
+    """A quadrature missed its accuracy requirement (a non-convergent contour
+    here, a T(0) Hermiticity defect in determinants)."""
 
 
-# ---------------------------------------------------------------------------
-# gamma function (internal Lanczos evaluator; validated against high-precision
-# literals in the tests)
-
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def gamma(z: complex) -> complex:
-    """Gamma(z) via the Lanczos approximation (g = 7, 9 terms)."""
-    z = complex(z)
-    if z.real < 0.5:
-        return math.pi / (np.sin(math.pi * z) * gamma(1.0 - z))
-    z -= 1.0
-    series = _LANCZOS_COEF[0]
-    for i, c in enumerate(_LANCZOS_COEF[1:], start=1):
-        series += c / (z + i)
-    w = z + _LANCZOS_G + 0.5
-    val = math.sqrt(2.0 * math.pi) * w ** (z + 0.5) * np.exp(-w) * series
-    if abs(val.imag) < 1e-14 * abs(val.real):
-        return complex(val.real, 0.0)
-    return val
-
-
-GAMMA_3_4 = gamma(0.75).real
-GAMMA_1_4 = gamma(0.25).real
+GAMMA_3_4 = float(gamma(0.75))
+GAMMA_1_4 = float(gamma(0.25))
 
 
 # ---------------------------------------------------------------------------

@@ -29,12 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import theta as th
-from .cone_analysis import GAMMA_3_4
+from .cone_analysis import GAMMA_3_4, QuadratureError
 from .spectral import _QB, _QW
-
-
-class QuadratureError(RuntimeError):
-    """Entry-wise quadrature error above threshold."""
 
 
 class ConsistencyError(RuntimeError):
@@ -348,12 +344,23 @@ class DeterminantReport:
                 "tau_B": self.tau_placeholder}
 
 
+def _hashable(obj):
+    """Nested dicts, lists and arrays as nested tuples, for cache keys."""
+    if isinstance(obj, dict):
+        return tuple(sorted((k, _hashable(v)) for k, v in obj.items()))
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return tuple(_hashable(v) for v in obj)
+    return obj
+
+
 def determinant_report(moduli, spin, h=0.02, n_eigs=280, richardson=True,
                        mesh_kwargs=None, cache=None):
     """Full pipeline for one spin structure: mesh(es) -> periods -> F-spectrum
     -> zeta determinant; T(0) quadrature; assembled report.
 
-    `cache` (a dict) reuses meshes/periods across spins at identical moduli.
+    `cache` (a dict) reuses meshes/periods across spins; its entries are
+    keyed on everything that shapes them (moduli, h, richardson, mesh_kwargs),
+    so one cache can be shared across moduli points and settings.
     """
     from . import surface as sf
     from . import hodge
@@ -362,7 +369,8 @@ def determinant_report(moduli, spin, h=0.02, n_eigs=280, richardson=True,
 
     cache = cache if cache is not None else {}
     mesh_kwargs = dict(mesh_kwargs or {})
-    key = ("geom", h)
+    key = ("geom", _hashable(moduli.to_dict()), h, bool(richardson),
+           _hashable(mesh_kwargs))
     if key not in cache:
         surf = sf.build_surface(moduli)
         mesh = sf.generate_mesh(surf, h=h, **mesh_kwargs)

@@ -16,6 +16,12 @@ weight:
                     dbar-closed sections: their stiffness rows vanish
                     identically, so the kernel dimension 2g-2 is exact.
 
+The sign-lifted P1 pencil is real symmetric (the imaginary part of the dbar
+Gram cancels edge by edge), so the Friedrichs pencil is assembled in float64
+and eigsh solves it with ARPACK's symmetric Lanczos solver.  Only the
+enrichment borders of the szego and holomorphic variants are complex; their
+pencils are complex Hermitian and go to the complex Arnoldi solver (eigs).
+
 Heat traces and zeta determinants follow the split-Mellin regularization: for
 t < t0 the two-term short-time model Area/(pi t) + c0 (c0 = -3(g-1)/8 for the
 Friedrichs extension, -7(g-1)/8 for the Szego one) plus a fitted exponential
@@ -185,40 +191,29 @@ def assemble_operator(mesh, lift, extension, periods=None, char=None,
                 col += 1
     ndof = col
 
+    # ----- P1 block, real symmetric.  dbar phi_c = -e_c / (4 i A) with e_c
+    # the edge opposite corner c, so the dbar Gram entry of a triangle is
+    # eta_a eta_b conj(e_a) e_b / (16 A).  Its imaginary part +-eta_a eta_b / 8
+    # is antisymmetric in (a, b) and cancels across every interior edge (both
+    # triangles carry the same edge sign), so only the real part is kept.
+    pos = mesh.tri_pos
+    area = mesh.signed_areas()[:, None, None]
+    e = np.roll(pos, -2, axis=1) - np.roll(pos, -1, axis=1)          # (nt, 3)
+    eta = lift.eta.astype(float)
+    ss = eta[:, :, None] * eta[:, None, :]
+    p1_a = ss * (e.real[:, :, None] * e.real[:, None, :]
+                 + e.imag[:, :, None] * e.imag[:, None, :]) / (16.0 * area)
+    p1_m = ss * area * ((1.0 + np.eye(3)) / 12.0)
+    dofs = dof_of_vertex[mesh.triangles]
+    p1_rows = np.broadcast_to(dofs[:, :, None], ss.shape)
+    p1_cols = np.broadcast_to(dofs[:, None, :], ss.shape)
+    keep = (p1_rows >= 0) & (p1_cols >= 0)          # cone vertices carry no dof
+    p1_rows, p1_cols = p1_rows[keep], p1_cols[keep]
+
     rows_a, cols_a, vals_a = [], [], []
     rows_m, cols_m, vals_m = [], [], []
 
-    def add(rows, cols, vals, i, jj, v):
-        rows.append(i)
-        cols.append(jj)
-        vals.append(v)
-
-    eta = lift.eta
-    tris = mesh.triangles
-    pos = mesh.tri_pos
-    areas = mesh.signed_areas()
-
-    # ----- P1 block
-    for t in range(mesh.n_triangles):
-        A2 = areas[t]
-        p = pos[t]
-        dofs = [int(dof_of_vertex[int(tris[t, c])]) for c in range(3)]
-        # dbar phi_c = -e_c / (4 i A) with e_c the opposite edge
-        dbar = np.array([-(p[(c + 2) % 3] - p[(c + 1) % 3]) for c in range(3)]) \
-            / (4j * A2)
-        sgn = eta[t]
-        for a in range(3):
-            if dofs[a] < 0:
-                continue
-            for b in range(3):
-                if dofs[b] < 0:
-                    continue
-                va = A2 * np.conj(sgn[a] * dbar[a]) * (sgn[b] * dbar[b])
-                add(rows_a, cols_a, vals_a, dofs[a], dofs[b], va)
-                vm = sgn[a] * sgn[b] * A2 / 12.0 * (2.0 if a == b else 1.0)
-                add(rows_m, cols_m, vals_m, dofs[a], dofs[b], vm)
-
-    # ----- enrichment blocks
+    # ----- enrichment blocks (complex)
     if enrichment and extension != "holomorphic":
         _assemble_local_enrichment(mesh, lift, enrichment, dof_of_vertex,
                                    cutoff, rows_a, cols_a, vals_a,
@@ -231,10 +226,18 @@ def assemble_operator(mesh, lift, extension, periods=None, char=None,
                                    rows_m, cols_m, vals_m)
         # stiffness rows of the exact kernels vanish identically (dbar S = 0)
 
-    A = sp.csr_matrix((vals_a, (rows_a, cols_a)), shape=(ndof, ndof))
-    M = sp.csr_matrix((vals_m, (rows_m, cols_m)), shape=(ndof, ndof))
-    A = 0.5 * (A + A.conj().T)
-    M = 0.5 * (M + M.conj().T)
+    def pencil_matrix(p1_vals, rows, cols, vals):
+        rows = np.concatenate([p1_rows, np.asarray(rows, dtype=int)])
+        cols = np.concatenate([p1_cols, np.asarray(cols, dtype=int)])
+        vals = np.concatenate([p1_vals[keep], np.asarray(vals)])
+        X = sp.coo_matrix((vals, (rows, cols)), shape=(ndof, ndof)).tocsr()
+        return 0.5 * (X + X.conj().T)
+
+    A = pencil_matrix(p1_a, rows_a, cols_a, vals_a)
+    M = pencil_matrix(p1_m, rows_m, cols_m, vals_m)
+    # a complex border in either matrix makes the pencil complex Hermitian
+    dtype = np.result_type(A.dtype, M.dtype)
+    A, M = A.astype(dtype, copy=False), M.astype(dtype, copy=False)
     return DiscreteOperator(mesh=mesh, lift=lift, extension=extension,
                             stiffness=A.tocsr(), mass=M.tocsr(),
                             dof_of_vertex=dof_of_vertex, n_p1=n_p1,

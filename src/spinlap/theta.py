@@ -255,13 +255,6 @@ def heat_equation_residual(char, xi, B, tol=1e-13):
 # ---------------------------------------------------------------------------
 # prime form and Szego kernel
 
-def _h_delta_sq(delta, periods, pt):
-    if hasattr(periods, "h_delta_sq"):
-        return periods.h_delta_sq(delta, pt)
-    grad = periods.theta_gradient0(delta)
-    return complex(np.dot(grad, periods.v(pt)))
-
-
 def h_delta(delta, periods, pt):
     """Continuous branch of sqrt(sum_i d_i theta[delta](0) v_i(pt))."""
     return periods.h_delta(delta, pt)
@@ -270,7 +263,7 @@ def h_delta(delta, periods, pt):
 def choose_odd_characteristic(periods, pts, h_tol=1e-8):
     """First odd characteristic whose h_delta is bounded away from 0 at pts."""
     for delta in odd_characteristics(periods.genus):
-        ok = all(abs(_h_delta_sq(delta, periods, pt)) > h_tol for pt in pts)
+        ok = all(abs(periods.h_delta_sq(delta, pt)) > h_tol for pt in pts)
         if ok:
             return delta
     raise DegeneratePointError("h_delta vanishes at the evaluation points "

@@ -71,10 +71,12 @@ class ExactTorusPeriods:
             self._cache[key] = self._th.theta_gradient0(char, self.b_matrix)
         return self._cache[key]
 
+    def h_delta_sq(self, delta, pt):
+        return complex(np.dot(self.theta_gradient0(delta), self.v(pt)))
+
     def h_delta(self, delta, pt):
         # h_delta^2 is a nonzero constant on the torus: principal branch
-        h2 = complex(np.dot(self.theta_gradient0(delta), self.v(pt)))
-        return np.sqrt(h2)
+        return np.sqrt(self.h_delta_sq(delta, pt))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from spinlap import cli
+from spinlap import cli, surface as sf
 
 
 @pytest.fixture()
@@ -90,6 +90,15 @@ def test_determinism(g1_moduli_file, tmp_path):
                   "--h", "0.06", "--num-eigs", "25", "--out", str(out)])
     assert (out1 / "spectrum.json").read_bytes() == \
         (out2 / "spectrum.json").read_bytes()
+
+
+def test_determinants_default_h_meshes_richardson_pair(g2_moduli_file):
+    args = cli.build_parser().parse_args(
+        ["determinants", "--moduli", g2_moduli_file])
+    assert not args.no_richardson
+    with open(g2_moduli_file) as f:
+        surf = sf.build_surface(sf.ModuliPoint.from_dict(json.load(f)))
+    sf.generate_mesh(surf, h=1.4 * args.h)     # the Richardson partner mesh
 
 
 @pytest.mark.slow

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from spinlap import surface as sf, hodge, homology_spin as hs, theta as th
-from spinlap import determinants as det
+from spinlap import cone_analysis as ca, determinants as det
 from spinlap.cone_analysis import GAMMA_3_4
 
 import oracles
@@ -123,6 +123,37 @@ def test_spin_independence_same_spin_exact(g2_t0):
     out = det.spin_independence_test(m, [spin, spin], h=0.05, n_eigs=140,
                                      richardson=False)
     assert out["max_delta_q"] == 0.0
+
+
+def test_one_quadrature_error_type():
+    assert det.QuadratureError is ca.QuadratureError
+
+
+@pytest.mark.slow
+def test_report_cache_keyed_on_moduli_and_richardson():
+    """A cache shared across moduli points and Richardson settings must give
+    the reports of fresh caches (it once handed back the first point's mesh
+    and periods, and skipped Richardson after a single-mesh call)."""
+    spin = hs.enumerate_spin_structures(2)[0]
+    first = sf.ModuliPoint(genus=2, A=[1.0, 1.0], B=[1j, 2j], C=[0.2, 0.5])
+    # a slit of length 0.4 still meshes at the Richardson size 1.4 h = 0.07
+    second = sf.ModuliPoint(genus=2, A=[1.0, 1.0], B=[1.1j, 1.9j],
+                            C=[0.2, 0.6])
+
+    def report(moduli, richardson, cache):
+        rep, _ = det.determinant_report(moduli, spin, h=0.05, n_eigs=120,
+                                        richardson=richardson, cache=cache)
+        return rep.theta0_abs, rep.log_det_f, rep.log_det_f_err
+
+    shared, log_det_f = {}, {}
+    report(first, False, shared)
+    for richardson in (False, True):
+        got = report(second, richardson, shared)
+        want = report(second, richardson, {})
+        assert got == pytest.approx(want, rel=1e-10)
+        log_det_f[richardson] = want[1]
+    # the Richardson pair moves log det F, so a skipped pair would show
+    assert abs(log_det_f[True] - log_det_f[False]) > 1e-3
 
 
 def test_torus_bosonization_oracle():

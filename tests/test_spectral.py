@@ -35,6 +35,64 @@ def test_assembly_hermitian_psd(torus_setup):
         assert np.vdot(x, M @ x).real > 0
 
 
+def _dbar_gram(mesh, lift):
+    """Complex dbar Gram sum_T A conj(eta_a dbar phi_a) eta_b dbar phi_b of
+    sign-lifted P1, summed over triangles by vertex pair: (rows, cols, values)
+    over the pairs of non-cone vertices, with rows/cols numbered as dofs."""
+    p = mesh.tri_pos
+    area = 0.5 * (np.conj(p[:, 1] - p[:, 0]) * (p[:, 2] - p[:, 0])).imag
+    opp = np.stack([p[:, 2] - p[:, 1], p[:, 0] - p[:, 2], p[:, 1] - p[:, 0]],
+                   axis=1)                       # edge opposite each corner
+    d = lift.eta * (-opp / (4j * area[:, None]))  # eta_c dbar phi_c
+    local = area[:, None, None] * np.conj(d)[:, :, None] * d[:, None, :]
+    nv = mesh.n_vertices
+    v = mesh.triangles
+    keys = (v[:, :, None] * nv + v[:, None, :]).ravel()
+    pairs, inv = np.unique(keys, return_inverse=True)
+    gram = (np.bincount(inv, local.real.ravel())
+            + 1j * np.bincount(inv, local.imag.ravel()))
+    is_dof = np.ones(nv, dtype=bool)
+    is_dof[mesh.cone_vertex_ids()] = False
+    dof = np.cumsum(is_dof) - 1
+    rows, cols = pairs // nv, pairs % nv
+    keep = is_dof[rows] & is_dof[cols]
+    return dof[rows[keep]], dof[cols[keep]], gram[keep]
+
+
+@pytest.fixture(scope="module")
+def g2_h05():
+    m = sf.ModuliPoint(genus=2, A=[1.0, 1.0], B=[1j, 2j], C=[0.2, 0.5])
+    mesh = sf.generate_mesh(sf.build_surface(m), h=0.05)
+    spin = hs.enumerate_spin_structures(2)[0]
+    return mesh, spin, hs.build_sign_lift(mesh, spin)
+
+
+@pytest.mark.parametrize("setup", ["torus_setup", "g2_h05"])
+def test_friedrichs_pencil_is_the_real_dbar_gram(setup, request):
+    mesh, _, lift, *_ = request.getfixturevalue(setup)
+    op = spec.assemble_operator(mesh, lift, "friedrichs")
+    assert op.stiffness.dtype == np.float64 and op.mass.dtype == np.float64
+    rows, cols, gram = _dbar_gram(mesh, lift)
+    scale = np.max(np.abs(gram.real))
+    # the antisymmetric imaginary parts cancel across every interior edge
+    assert np.max(np.abs(gram.imag)) <= 1e-12 * scale
+    entries = np.asarray(op.stiffness[rows, cols]).ravel()
+    assert np.max(np.abs(entries - gram.real)) <= 1e-12 * scale
+    # and the stiffness has nothing outside the Gram's vertex pairs
+    assert abs(op.stiffness).sum() == pytest.approx(np.abs(entries).sum(),
+                                                    rel=1e-12)
+
+
+def test_enriched_pencils_stay_complex(g2_h05):
+    mesh, spin, lift = g2_h05
+    pd = hodge.period_matrix(mesh)
+    char = hs.calibrate_characteristic((spin.sigma_a, spin.sigma_b), pd)
+    for ext in ("szego", "holomorphic"):
+        op = spec.assemble_operator(mesh, lift, ext, periods=pd, char=char)
+        assert op.stiffness.dtype == np.complex128
+        assert op.mass.dtype == np.complex128
+
+
 def test_torus_spectrum_oracle(torus_setup):
     _, _, _, op = torus_setup
     res = spec.eigenvalues(op, 24)
