@@ -31,6 +31,7 @@ import numpy as np
 from . import theta as th
 from .cone_analysis import GAMMA_3_4, QuadratureError
 from .spectral import _QB, _QW
+from .surface import patch_triangle_ids
 
 
 class ConsistencyError(RuntimeError):
@@ -64,14 +65,12 @@ class ScatteringData:
         return float(np.linalg.eigvalsh(0.5 * (self.t0 + self.t0.conj().T)).min())
 
 
-def _bulk_quad_points(mesh):
-    """Quadrature points/weights/values of A and v on all bulk triangles."""
-    patch_ids = set()
-    for k in range(len(mesh.cone_patches)):
-        from .spectral import _patch_triangle_ids
-        patch_ids.update(_patch_triangle_ids(mesh, k, mesh.cone_patches[k].outer_radius))
-    bulk = [t for t in range(mesh.n_triangles) if t not in patch_ids]
-    return bulk, patch_ids
+def _bulk_triangles(mesh):
+    """Ids of the triangles outside every cone patch, ascending."""
+    in_patch = np.zeros(mesh.n_triangles, dtype=bool)
+    for k, patch in enumerate(mesh.cone_patches):
+        in_patch[patch_triangle_ids(mesh, k, patch.outer_radius)] = True
+    return np.flatnonzero(~in_patch)
 
 
 def t_matrix_zero(surface, periods, char, delta=None, n_rad=24, n_ang=64,
@@ -117,7 +116,7 @@ def t_matrix_zero(surface, periods, char, delta=None, n_rad=24, n_ang=64,
                 raw[i, j] += np.sum(weights * h2_abs * fi * np.conj(fj))
 
     # ---- bulk triangles
-    bulk, _ = _bulk_quad_points(mesh)
+    bulk = _bulk_triangles(mesh)
     chunk = 4000
     for lo in range(0, len(bulk), chunk):
         ids = bulk[lo:lo + chunk]
@@ -186,7 +185,7 @@ def s_gram_direct(periods, char, lift, delta=None, n_rad=20, n_ang=40):
     Unlike t_matrix_zero this goes through the per-point kernel values with
     the tree-gauge h_delta branch, so it exercises a different assembly path;
     used for the diagonal cross-check and the Bergman projection test."""
-    from .spectral import szego_section_field, _patch_triangle_ids
+    from .spectral import szego_section_field
     mesh = periods.mesh
     g = periods.genus
     ncone = len(mesh.cone_patches)
@@ -194,14 +193,8 @@ def s_gram_direct(periods, char, lift, delta=None, n_rad=20, n_ang=40):
         delta = th.odd_characteristics(g)[0]
     fields = [szego_section_field(periods, char, k, lift, delta=delta)
               for k in range(ncone)]
-    patch_ids = set()
-    for kk in range(ncone):
-        patch_ids.update(_patch_triangle_ids(
-            mesh, kk, mesh.cone_patches[kk].outer_radius))
     gram = np.zeros((ncone, ncone), dtype=complex)
-    for t in range(mesh.n_triangles):
-        if t in patch_ids:
-            continue
+    for t in _bulk_triangles(mesh):
         pos = mesh.tri_pos[t]
         area = 0.5 * abs((np.conj(pos[1] - pos[0]) * (pos[2] - pos[0])).imag)
         vs = mesh.triangles[t]

@@ -8,6 +8,11 @@ projected to gamma - d alpha with L alpha = d* gamma.  The holomorphic basis
 is the complex combination of the 2g real harmonic cochains minimizing the
 antiholomorphic energy subject to the a-period normalization.
 
+Every cochain is an array over the mesh's oriented edge table
+(`SpinMesh.edge_table`): entry e is the value on the edge from edges[e, 0]
+to edges[e, 1], and the table's per-corner index and sign read it along
+each triangle side.
+
 Near each cone point, upsilon_i / dx_k is holomorphic in the distinguished
 coordinate; its Taylor coefficients are recovered by an FFT of the Abel map
 over a mesh ring (Cauchy integral on the x-circle), which supplies accurate
@@ -24,6 +29,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import theta as th
+from .surface import cone_patch_triangles
 
 
 class MeshQualityError(RuntimeError):
@@ -37,134 +43,109 @@ class DiscretizationError(RuntimeError):
 # ---------------------------------------------------------------------------
 # mesh linear algebra helpers
 
-def edge_index_map(mesh):
-    edges = mesh.edges()
-    emap = {(int(u), int(v)): i for i, (u, v) in enumerate(edges)}
-    return edges, emap
+def cotan_laplacian(mesh, corners):
+    """Cotangent-weight Laplacian L (Pinkall and Polthier, Exp. Math. 2,
+    1993) and the weighted incidence DIVT that maps an edge cochain to its
+    cotangent divergence, so that L = DIVT d.
 
-
-def _oriented_value(cochain, emap, u, v):
-    if (u, v) in emap:
-        return cochain[emap[(u, v)]]
-    return -cochain[emap[(v, u)]]
-
-
-def cotan_laplacian(mesh, edges, emap):
-    """Cotangent-weight Laplacian and the edge weight vector.
-
-    Cone-patch triangles use their distinguished-chart (x) corner coordinates:
-    the Dirichlet energy is conformally invariant and scalar harmonics are
-    smooth in x, so this removes the O(1) relative error the z-chart weights
-    suffer in the graded zone (z ~ x^2/2 there).
+    corners are the (nt, 3) corner coordinates to use.  period_matrix passes
+    the distinguished-chart (x) ones inside cone patches: the Dirichlet energy
+    is conformally invariant and scalar harmonics are smooth in x, so this
+    removes the O(1) relative error the z-chart weights suffer in the graded
+    zone (z ~ x^2/2 there).
     """
-    from .surface import cone_patch_triangles
-    nv = mesh.n_vertices
-    w = np.zeros(len(edges))
-    alt = {}
-    for tris in cone_patch_triangles(mesh):
-        alt.update(tris)
-    for t in range(mesh.n_triangles):
-        tri = mesh.triangles[t]
-        p = alt.get(t, mesh.tri_pos[t])
-        for c in range(3):
-            u, v = int(tri[(c + 1) % 3]), int(tri[(c + 2) % 3])
-            a = p[(c + 1) % 3] - p[c]
-            b = p[(c + 2) % 3] - p[c]
-            cross = (np.conj(a) * b).imag
-            cot = (a * np.conj(b)).real / cross
-            key = (u, v) if (u, v) in emap else (v, u)
-            w[emap[key]] += 0.5 * cot
-    rows, cols, vals = [], [], []
-    for i, (u, v) in enumerate(edges):
-        rows += [u, v, u, v]
-        cols += [v, u, u, v]
-        vals += [-w[i], -w[i], w[i], w[i]]
-    L = sp.csr_matrix((vals, (rows, cols)), shape=(nv, nv))
-    return L, w
+    table = mesh.edge_table
+    nv, ne = mesh.n_vertices, len(table.edges)
+    a = np.roll(corners, -1, axis=1) - corners
+    b = np.roll(corners, -2, axis=1) - corners
+    cot = (a.real * b.real + a.imag * b.imag) / (a.real * b.imag - a.imag * b.real)
+    # the angle at corner c faces the side from corner c + 1 to corner c + 2
+    w = 0.5 * np.bincount(np.roll(table.index, -1, axis=1).ravel(),
+                          weights=cot.ravel(), minlength=ne)
+    u, v = table.edges.T
+    L = sp.csr_matrix((np.column_stack([-w, -w, w, w]).ravel(),
+                       (np.column_stack([u, v, u, v]).ravel(),
+                        np.column_stack([v, u, u, v]).ravel())), shape=(nv, nv))
+    DIVT = sp.csr_matrix((np.column_stack([-w, w]).ravel(),
+                          (table.edges.ravel(), np.repeat(np.arange(ne), 2))),
+                         shape=(nv, ne))
+    return L, DIVT
 
 
-def crossing_cochains(mesh, edges, emap):
-    """Closed cochains gamma_{a_j}, gamma_{b_j} from seam-crossing counts."""
-    g = mesh.genus
-    ga = [np.zeros(len(edges)) for _ in range(g)]
-    gb = [np.zeros(len(edges)) for _ in range(g)]
-    seen = set()
-    for t in range(mesh.n_triangles):
-        j = int(mesh.tri_chart[t])
-        tri = mesh.triangles[t]
-        for c in range(3):
-            u, v = int(tri[c]), int(tri[(c + 1) % 3])
-            key = (u, v) if (u, v) in emap else (v, u)
-            if key in seen:
-                continue
-            seen.add(key)
-            du = mesh.tri_wrap[t, (c + 1) % 3] - mesh.tri_wrap[t, c]
-            sgn = 1.0 if key == (u, v) else -1.0
-            ga[j][emap[key]] = sgn * du[0]
-            gb[j][emap[key]] = sgn * du[1]
-    return ga, gb
+def crossing_cochains(mesh):
+    """Closed cochains [gamma_{a_1..a_g}, gamma_{b_1..b_g}] as a (2g, ne)
+    array: the seam crossings of each edge, read on its first triangle side."""
+    table = mesh.edge_table
+    g, ne = mesh.genus, len(table.edges)
+    first = table.slots[:, 0]
+    wraps = np.roll(mesh.tri_wrap, -1, axis=1) - mesh.tri_wrap
+    du = (wraps * table.sign[:, :, None]).reshape(-1, 2)[first]
+    chart = mesh.tri_chart[first // 3]
+    out = np.zeros((2 * g, ne))
+    out[chart, np.arange(ne)] = du[:, 0]
+    out[g + chart, np.arange(ne)] = du[:, 1]
+    return out
 
 
-def harmonic_basis(mesh):
+def harmonic_basis(mesh, corners):
     """2g real harmonic cochains (closed and cotangent-co-closed).
 
-    Returns (edges, emap, cochains) with cochains an (2g, ne) array ordered
-    [a_1..a_g, b_1..b_g] by the crossing class they represent.
+    corners are the corner coordinates cotan_laplacian weighs with.  Returns
+    (cochains, DIVT): the (2g, ne) cochains ordered [a_1..a_g, b_1..b_g] by
+    the crossing class they represent, and the weighted incidence whose
+    kernel they lie in.
     """
-    edges, emap = edge_index_map(mesh)
-    L, w = cotan_laplacian(mesh, edges, emap)
-    ga, gb = crossing_cochains(mesh, edges, emap)
-    nv = mesh.n_vertices
+    L, DIVT = cotan_laplacian(mesh, corners)
+    gamma = crossing_cochains(mesh)
 
     # pin one vertex to fix the constant mode
     Lp = L.tolil()
     Lp[0, :] = 0.0
     Lp[0, 0] = 1.0
     solver = spla.splu(Lp.tocsc())
-
-    inc_rows, inc_cols, inc_vals = [], [], []
-    for i, (u, v) in enumerate(edges):
-        inc_rows += [u, v]
-        inc_cols += [i, i]
-        inc_vals += [-w[i], w[i]]
-    DIVT = sp.csr_matrix((inc_vals, (inc_rows, inc_cols)), shape=(nv, len(edges)))
-
-    out = []
-    for gamma in (*ga, *gb):
-        div = DIVT @ gamma
-        div[0] = 0.0
-        alpha = solver.solve(div)
-        dalpha = alpha[edges[:, 1]] - alpha[edges[:, 0]]
-        out.append(gamma - dalpha)
-    return edges, emap, np.array(out)
+    div = DIVT @ gamma.T
+    div[0] = 0.0
+    alpha = np.array([solver.solve(d) for d in div.T])
+    u, v = mesh.edge_table.edges.T
+    return gamma - (alpha[:, v] - alpha[:, u]), DIVT
 
 
-def _triangle_pq(mesh, edges, emap, cochain, alt_coords=None):
-    """Per-triangle (p, q) with cochain ~ p dz + q dzbar on each triangle.
+def _triangle_pq(table, corners, cochains):
+    """Per-triangle (p, q) with cochain ~ p dz + q dzbar on each triangle, in
+    the coordinates of corners (nt, 3), for all cochains (m, ne) at once:
+    the least-squares solution of the 3 x 2 side equations (exact for a
+    closed cochain).  Returns p, q as (m, nt) arrays."""
+    dz = np.roll(corners, -1, axis=1) - corners
+    sides = np.stack([dz, np.conj(dz)], axis=-1)              # (nt, 3, 2)
+    values = cochains[:, table.index] * table.sign            # (m, nt, 3)
+    p, q = np.einsum("tkc,mtc->kmt", np.linalg.pinv(sides), values)
+    return p, q
 
-    alt_coords optionally overrides corner coordinates per triangle (the
-    distinguished chart inside cone patches, where the linear model is valid);
-    also returns the area in the coordinates actually used.
-    """
-    nt = mesh.n_triangles
-    p = np.zeros(nt, dtype=complex)
-    q = np.zeros(nt, dtype=complex)
-    w = np.zeros(nt)
-    alt_coords = alt_coords or {}
-    for t in range(nt):
-        tri = mesh.triangles[t]
-        pos = alt_coords.get(t, mesh.tri_pos[t])
-        A = np.zeros((3, 2), dtype=complex)
-        b = np.zeros(3, dtype=complex)
-        for c in range(3):
-            u, v = int(tri[c]), int(tri[(c + 1) % 3])
-            dz = pos[(c + 1) % 3] - pos[c]
-            A[c] = (dz, np.conj(dz))
-            b[c] = _oriented_value(cochain, emap, u, v)
-        sol, *_ = np.linalg.lstsq(A, b, rcond=None)
-        p[t], q[t] = sol
-        w[t] = 0.5 * abs((np.conj(pos[1] - pos[0]) * (pos[2] - pos[0])).imag)
-    return p, q, w
+
+def _bfs_tree(edges, n_vertices, root):
+    """Breadth-first spanning tree (order, parent) of the graph of edges from
+    root, visiting neighbours in ascending order; vertices the root does not
+    reach are left out of order."""
+    from scipy.sparse.csgraph import breadth_first_order
+    u, v = edges.T
+    adjacency = sp.csr_matrix((np.ones(2 * len(u)), (np.r_[u, v], np.r_[v, u])),
+                              shape=(n_vertices, n_vertices))
+    adjacency.sort_indices()
+    return breadth_first_order(adjacency, root, return_predecessors=True)
+
+
+def _tree_integral(table, tree, cochains, start):
+    """Integrals (m, nv) of closed cochains (m, ne) along a spanning tree:
+    start at its root, then each vertex its parent's value plus the cochain
+    on the tree edge."""
+    order, parent = tree
+    idx, sign = table.lookup(parent[order[1:]], order[1:])
+    steps = (cochains[:, idx] * sign).T
+    out = np.zeros((table.n_vertices, cochains.shape[0]), dtype=complex)
+    out[order[0]] = start
+    for v, step in zip(order[1:], steps):
+        out[v] = out[parent[v]] + step
+    return out.T
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +155,6 @@ def _triangle_pq(mesh, edges, emap, cochain, alt_coords=None):
 class PeriodData:
     mesh: object
     upsilon: np.ndarray          # (g, ne) complex holomorphic cochains
-    edges: np.ndarray
-    emap: dict
     b_matrix: np.ndarray         # symmetrized, checked
     b_raw: np.ndarray
     residual: float
@@ -184,6 +163,8 @@ class PeriodData:
     abel_vertex: np.ndarray      # (g, nv) tree-integrated Abel map
     cone_poly: list              # per cone: (g, n_coef) Taylor coeffs of upsilon/dx
     abel_cone: np.ndarray        # (g, n_cones) Abel map at the cone points
+    tree: tuple                  # (order, parent): BFS spanning tree from
+                                 # vertex 0 that abel_vertex is integrated on
     _cache: dict = field(default_factory=dict)
 
     @property
@@ -289,7 +270,7 @@ class PeriodData:
         h2 = self.h_delta_sq_vertex(delta)
         root = np.sqrt(h2)
         signs = np.zeros(self.mesh.n_vertices, dtype=np.int8)
-        order, parent = self._tree()
+        order, parent = self.tree
         signs[order[0]] = 1
         for v in order[1:]:
             u = parent[v]
@@ -345,8 +326,7 @@ class PeriodData:
         mesh = self.mesh
         patch = mesh.cone_patches[k]
         cone = patch.cone
-        local = _patch_abel(mesh, patch, self.abel_vertex, self.edges,
-                            self.emap, self.upsilon)
+        local = _patch_abel(mesh, patch, self.abel_vertex, self.upsilon)
         g = self.genus
         acc = np.zeros((g, g), dtype=complex)
         used = 0
@@ -356,145 +336,81 @@ class PeriodData:
             slots = patch.ring_slots[ring]
             rho = patch.ring_radii[ring]
             zs = [rho * np.exp(1j * (phi + cone.theta_ray)) for _, phi, _ in slots]
-            As = [local[int(v)] for v, _, _ in slots]
+            As = [local[:, int(v)] for v, _, _ in slots]
             zs.append(zs[0])
             As.append(As[0])
             tot = np.zeros((g, g), dtype=complex)
             for a in range(len(zs) - 1):
                 dz = zs[a + 1] - zs[a]
-                dA = np.asarray(As[a + 1]) - np.asarray(As[a])
+                dA = As[a + 1] - As[a]
                 tot += np.outer(dA, dA) / dz
             acc += tot
             used += 1
         self._cache[key] = acc / used
         return self._cache[key]
 
-    def _tree(self):
-        key = "tree"
-        if key in self._cache:
-            return self._cache[key]
-        from collections import deque
-        nv = self.mesh.n_vertices
-        adj = [[] for _ in range(nv)]
-        for u, v in self.edges:
-            adj[int(u)].append(int(v))
-            adj[int(v)].append(int(u))
-        parent = np.full(nv, -1, dtype=int)
-        order = [0]
-        seen = np.zeros(nv, dtype=bool)
-        seen[0] = True
-        dq = deque([0])
-        while dq:
-            u = dq.popleft()
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    parent[v] = u
-                    order.append(v)
-                    dq.append(v)
-        self._cache[key] = (order, parent)
-        return self._cache[key]
 
-
-def period_matrix(mesh, basis=None) -> PeriodData:
+def period_matrix(mesh) -> PeriodData:
     """Normalized holomorphic cochain basis and the period matrix B."""
-    if basis is None:
-        edges, emap, cochains = harmonic_basis(mesh)
-    else:
-        edges, emap, cochains = basis
+    table = mesh.edge_table
     g = mesh.genus
-    areas = mesh.triangle_areas()
+    # Inside cone patches upsilon ~ 1/x makes the z-chart linear model
+    # useless, so the cotangent weights and the antiholomorphic energy use
+    # the distinguished-chart corners there (both are conformally invariant
+    # and upsilon/dx is smooth there).
+    xcorners = mesh.tri_pos.copy()
+    for ids, x in cone_patch_triangles(mesh):
+        xcorners[ids] = x
+    cochains, DIVT = harmonic_basis(mesh, xcorners)
 
     # rank of the period pairing over the 2g cycles
-    paths = []
-    for j in range(g):
-        paths.append(mesh.cycle_paths[j]["a"])
-    for j in range(g):
-        paths.append(mesh.cycle_paths[j]["b"])
-    P = np.array([[_path_integral(cochains[m], emap, path)
-                   for m in range(2 * g)] for path in paths])
+    paths = ([c["a"] for c in mesh.cycle_paths]
+             + [c["b"] for c in mesh.cycle_paths])
+    P = np.array([_path_integral(table, cochains, path) for path in paths])
     if np.linalg.matrix_rank(P, tol=1e-8) != 2 * g:
         raise MeshQualityError("period pairing rank deficient")
 
-    # Antiholomorphic-energy Gram.  Inside cone patches upsilon ~ 1/x makes
-    # the z-chart linear model useless, so those triangles use their
-    # distinguished-chart coordinates (the energy is conformally invariant and
-    # upsilon/dx is smooth there).  The b-periods of the raw cochains are
+    # Antiholomorphic-energy Gram.  The b-periods of the raw cochains are
     # exact integers, so the entire B error enters through these coefficients.
-    from .surface import cone_patch_triangles
-    alt = {}
-    for ptris in cone_patch_triangles(mesh):
-        alt.update(ptris)
-    pq = [_triangle_pq(mesh, edges, emap, cochains[m]) for m in range(2 * g)]
-    pq_x = [_triangle_pq(mesh, edges, emap, cochains[m], alt_coords=alt)
-            for m in range(2 * g)]
-    Q = np.array([pq_x[m][1] for m in range(2 * g)])    # antihol parts
-    weights = pq_x[0][2]
+    _, Q = _triangle_pq(table, xcorners, cochains)
+    a, b = (xcorners[:, 1:] - xcorners[:, :1]).T
+    weights = 0.5 * np.abs(a.real * b.imag - a.imag * b.real)
     G = (np.conj(Q) * weights) @ Q.T
     G = 0.5 * (G + np.conj(G.T))
 
-    Pa = P[:g, :]                                       # a-periods of the basis
-    upsilon, v_tri = [], []
-    for j in range(g):
-        rhs = np.zeros(g)
-        rhs[j] = 1.0
-        c = _constrained_min(G, Pa, rhs)
-        upsilon.append(np.tensordot(c, cochains, axes=(0, 0)))
-        v_tri.append(np.tensordot(c, np.array([pq[m][0] for m in range(2 * g)]),
-                                  axes=(0, 0)))
-    upsilon = np.array(upsilon)
-    v_tri = np.array(v_tri)
+    # row j: the combination with a-periods delta_ij of least energy
+    coef = np.array([_constrained_min(G, P[:g], np.eye(g)[j]) for j in range(g)])
+    upsilon = coef @ cochains
+    v_tri = coef @ _triangle_pq(table, mesh.tri_pos, cochains)[0]
 
-    b_raw = np.array([[_path_integral(upsilon[j], emap, mesh.cycle_paths[i]["b"])
-                       for j in range(g)] for i in range(g)])
+    b_raw = np.array([_path_integral(table, upsilon, c["b"])
+                      for c in mesh.cycle_paths])
     b_sym = 0.5 * (b_raw + b_raw.T)
     wmin = np.linalg.eigvalsh(b_sym.imag).min()
     if wmin <= 0:
         raise DiscretizationError("Im B not positive definite")
 
     # co-closedness residual of the holomorphic basis
-    L, w = cotan_laplacian(mesh, edges, emap)
-    nv = mesh.n_vertices
-    rows, cols, vals = [], [], []
-    for i, (u, v) in enumerate(edges):
-        rows += [u, v]
-        cols += [i, i]
-        vals += [-w[i], w[i]]
-    DIVT = sp.csr_matrix((vals, (rows, cols)), shape=(nv, len(edges)))
-    resid = max(float(np.max(np.abs(DIVT @ ups))) for ups in upsilon)
+    resid = float(np.max(np.abs(DIVT @ upsilon.T)))
 
     v_vertex = _vertex_v(mesh, v_tri)
-    abel_vertex = _tree_abel(mesh, edges, emap, upsilon)
+    tree = _bfs_tree(table.edges, mesh.n_vertices, 0)
+    abel_vertex = _tree_integral(table, tree, upsilon, np.zeros(g))
     cone_poly, abel_cone, v_vertex = _cone_charts(mesh, abel_vertex, v_vertex,
-                                                  edges, emap, upsilon)
+                                                  upsilon)
 
-    return PeriodData(mesh=mesh, upsilon=upsilon, edges=edges, emap=emap,
+    return PeriodData(mesh=mesh, upsilon=upsilon,
                       b_matrix=b_sym, b_raw=b_raw, residual=resid,
                       v_tri=v_tri, v_vertex=v_vertex,
                       abel_vertex=abel_vertex, cone_poly=cone_poly,
-                      abel_cone=abel_cone)
+                      abel_cone=abel_cone, tree=tree)
 
 
-def _bulk_triangle_mask(mesh):
-    """1 for triangles outside every cone patch, 0 inside."""
-    inpatch = set()
-    for p in mesh.cone_patches:
-        inpatch.add(p.center_vertex)
-        for slots in p.ring_slots:
-            inpatch.update(int(v) for v, _, _ in slots)
-    mask = np.ones(mesh.n_triangles)
-    if inpatch:
-        for t in range(mesh.n_triangles):
-            if any(int(v) in inpatch for v in mesh.triangles[t]):
-                mask[t] = 0.0
-    return mask
-
-
-def _path_integral(cochain, emap, path):
-    total = 0.0 + 0.0j
-    for u, v in zip(path[:-1], path[1:]):
-        total += _oriented_value(cochain, emap, int(u), int(v))
-    return total
+def _path_integral(table, cochains, path):
+    """Integrals of the cochains (..., ne) along a vertex path."""
+    path = np.asarray(path)
+    idx, sign = table.lookup(path[:-1], path[1:])
+    return np.sum(cochains[..., idx] * sign, axis=-1)
 
 
 def _constrained_min(G, A, rhs):
@@ -510,75 +426,41 @@ def _constrained_min(G, A, rhs):
 
 
 def _vertex_v(mesh, v_tri):
-    g, nt = v_tri.shape
-    nv = mesh.n_vertices
-    acc = np.zeros((g, nv), dtype=complex)
-    wsum = np.zeros(nv)
-    areas = mesh.triangle_areas()
-    for t in range(nt):
-        for c in range(3):
-            v = int(mesh.triangles[t][c])
-            acc[:, v] += areas[t] * v_tri[:, t]
-            wsum[v] += areas[t]
+    """Area-weighted mean of the per-triangle v_i over each vertex's
+    triangles."""
+    corners = mesh.triangles.ravel()
+    areas = np.repeat(mesh.triangle_areas(), 3)
+
+    def gather(values):
+        return np.bincount(corners, weights=values, minlength=mesh.n_vertices)
+
+    wsum = gather(areas)
     wsum[wsum == 0] = 1.0
+    acc = np.empty((len(v_tri), mesh.n_vertices), dtype=complex)
+    for i, vi in enumerate(v_tri):
+        weighted = areas * np.repeat(vi, 3)
+        acc[i].real = gather(weighted.real)
+        acc[i].imag = gather(weighted.imag)
     return acc / wsum
 
 
-def _tree_abel(mesh, edges, emap, upsilon):
-    from collections import deque
-    g = upsilon.shape[0]
-    nv = mesh.n_vertices
-    adj = [[] for _ in range(nv)]
-    for u, v in edges:
-        adj[int(u)].append(int(v))
-        adj[int(v)].append(int(u))
-    out = np.zeros((g, nv), dtype=complex)
-    seen = np.zeros(nv, dtype=bool)
-    seen[0] = True
-    dq = deque([0])
-    while dq:
-        u = dq.popleft()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                for i in range(g):
-                    out[i, v] = out[i, u] + _oriented_value(upsilon[i], emap, u, v)
-                dq.append(v)
-    return out
-
-
-def _patch_abel(mesh, patch, abel_vertex, edges, emap, upsilon):
-    """Single-valued Abel field on a cone patch (local integration of the
-    closed cochain: loops around the cone carry no residue, so the punctured
-    patch is integration-safe; anchored to the global tree at one vertex)."""
-    from collections import deque
-    pverts = set()
-    for slots in patch.ring_slots:
-        pverts.update(int(v) for v, _, _ in slots)
-    adj = {v: [] for v in pverts}
-    for u, v in edges:
-        u, v = int(u), int(v)
-        if u in pverts and v in pverts:
-            adj[u].append(v)
-            adj[v].append(u)
+def _patch_abel(mesh, patch, abel_vertex, upsilon):
+    """Single-valued Abel field (g, nv) on the vertices of a cone patch (zero
+    elsewhere) by local integration of the closed cochain: loops around the
+    cone carry no residue, so the punctured patch is integration-safe;
+    anchored to the global tree at one vertex."""
+    table = mesh.edge_table
+    inside = np.zeros(mesh.n_vertices, dtype=bool)
+    inside[[v for slots in patch.ring_slots for v, _, _ in slots]] = True
     root = int(patch.ring_slots[0][0][0])
-    g = upsilon.shape[0]
-    out = {root: abel_vertex[:, root].copy()}
-    dq = deque([root])
-    while dq:
-        u = dq.popleft()
-        for v in adj[u]:
-            if v not in out:
-                out[v] = out[u] + np.array(
-                    [_oriented_value(upsilon[i], emap, u, v) for i in range(g)])
-                dq.append(v)
-    if len(out) != len(pverts):
+    tree = _bfs_tree(table.edges[inside[table.edges].all(axis=1)],
+                     mesh.n_vertices, root)
+    if len(tree[0]) != inside.sum():
         raise MeshQualityError("cone patch vertex graph is disconnected")
-    return out
+    return _tree_integral(table, tree, upsilon, abel_vertex[:, root])
 
 
-def _cone_charts(mesh, abel_vertex, v_vertex, edges, emap, upsilon,
-                 ring_use=2, n_coef=8):
+def _cone_charts(mesh, abel_vertex, v_vertex, upsilon, ring_use=2, n_coef=8):
     """Taylor coefficients of upsilon/dx at each cone by FFT of the Abel map
     over a mesh ring (Cauchy integral on the x-circle); also overwrites v at
     the patch vertices with the analytic values."""
@@ -586,7 +468,7 @@ def _cone_charts(mesh, abel_vertex, v_vertex, edges, emap, upsilon,
     polys, abel_c = [], []
     for patch in mesh.cone_patches:
         cone = patch.cone
-        local = _patch_abel(mesh, patch, abel_vertex, edges, emap, upsilon)
+        local = _patch_abel(mesh, patch, abel_vertex, upsilon)
         m = min(ring_use, len(patch.ring_radii) - 1)
         slots = patch.ring_slots[m]
         rho = patch.ring_radii[m]
@@ -594,7 +476,7 @@ def _cone_charts(mesh, abel_vertex, v_vertex, edges, emap, upsilon,
         nslot = len(slots)
         phis = np.array([s[1] for s in slots])
         xarg = 0.5 * (phis + cone.theta_ray)            # uniform, step 2 pi/nslot
-        A = np.array([local[int(v)] for v, _, _ in slots]).T   # (g, nslot)
+        A = local[:, [int(v) for v, _, _ in slots]]     # (g, nslot)
         coefs = np.empty((g, n_coef), dtype=complex)
         a0 = np.empty(g, dtype=complex)
         nmax = min(n_coef + 1, nslot // 2)
@@ -643,14 +525,11 @@ def dual_cycle_integral(periods: PeriodData, i, j, nu):
         path = mesh.cycle_paths[idx]["a"]
     else:
         raise ValueError(nu)
-    from .surface import _edge_vector_table
-    table = _edge_vector_table(mesh)
-    total = 0.0 + 0.0j
+    path = np.asarray(path)
+    edge, sign = mesh.edge_table.lookup(path[:-1], path[1:])
     vv = periods.v_vertex[i] * periods.v_vertex[j]
-    for u, v in zip(path[:-1], path[1:]):
-        dz = table[(int(u), int(v))]
-        total += 0.5 * (vv[int(u)] + vv[int(v)]) * dz
-    return total
+    return complex(np.sum(0.5 * (vv[path[:-1]] + vv[path[1:]])
+                          * sign * mesh.edge_vectors()[edge]))
 
 
 def check_dB_dnu(moduli, nu, step=0.02, h=0.05, mesh_kwargs=None):

@@ -69,12 +69,6 @@ def default_char_of_signs(sigma_a, sigma_b):
     return th.ThetaCharacteristic(p, q)
 
 
-def signs_of_char(char):
-    sa = tuple(1 if pj == 0.5 else -1 for pj in char.p)
-    sb = tuple(1 if qj == 0.5 else -1 for qj in char.q)
-    return sa, sb
-
-
 def enumerate_spin_structures(g: int):
     """All 4^g spin structures with their characteristics and parity."""
     out = []
@@ -93,7 +87,6 @@ class SignLift:
     spin: SpinStructure
     eta: np.ndarray              # (nt, 3) per-corner gauge signs
     edge_sign: dict              # undirected edge -> +-1 (cone spokes excluded)
-    cut_set: set                 # edges whose sign came from a nontrivial crossing
 
     def loop_sign(self, path):
         """Product of edge signs along a closed vertex path."""
@@ -112,38 +105,26 @@ def build_sign_lift(mesh, spin: SpinStructure) -> SignLift:
     the -1 carried by the (T_a, +) = (T_b, -) gluing curve.  Raises
     LiftFailureError if the induced edge cocycle is inconsistent.
     """
-    nt = mesh.n_triangles
-    eta = np.ones((nt, 3), dtype=np.int8)
-    for t in range(nt):
-        j = int(mesh.tri_chart[t])
-        for c in range(3):
-            ws, wt = int(mesh.tri_wrap[t, c, 0]), int(mesh.tri_wrap[t, c, 1])
-            s = int(mesh.tri_slit_sign[t, c])
-            if ws % 2:
-                s *= spin.sigma_a[j]
-            if wt % 2:
-                s *= spin.sigma_b[j]
-            eta[t, c] = s
+    chart = mesh.tri_chart[:, None]
+    flip_a = np.asarray(spin.sigma_a)[chart]
+    flip_b = np.asarray(spin.sigma_b)[chart]
+    ws, wt = mesh.tri_wrap[:, :, 0] % 2, mesh.tri_wrap[:, :, 1] % 2
+    eta = (mesh.tri_slit_sign * np.where(ws, flip_a, 1)
+           * np.where(wt, flip_b, 1)).astype(np.int8)
 
-    cone_vs = set(mesh.cone_vertex_ids())
-    edge_sign, cut_set = {}, set()
-    for t in range(nt):
-        tri = mesh.triangles[t]
-        for c in range(3):
-            u, v = int(tri[c]), int(tri[(c + 1) % 3])
-            if u in cone_vs or v in cone_vs:
-                continue
-            key = (min(u, v), max(u, v))
-            val = int(eta[t, c] * eta[t, (c + 1) % 3])
-            if key in edge_sign:
-                if edge_sign[key] != val:
-                    raise LiftFailureError(f"inconsistent cocycle at edge {key}")
-            else:
-                edge_sign[key] = val
-                if val == -1:
-                    cut_set.add(key)
-    return SignLift(mesh=mesh, spin=spin, eta=eta,
-                    edge_sign=edge_sign, cut_set=cut_set)
+    # each edge's sign on its two triangle sides; cone spokes are excluded
+    table = mesh.edge_table
+    side_sign = (eta * np.roll(eta, -1, axis=1)).ravel()[table.slots]
+    cone = np.zeros(mesh.n_vertices, dtype=bool)
+    cone[mesh.cone_vertex_ids()] = True
+    keep = ~cone[table.edges].any(axis=1)
+    bad = keep & (side_sign[:, 0] != side_sign[:, 1])
+    if np.any(bad):
+        key = tuple(int(x) for x in table.edges[np.argmax(bad)])
+        raise LiftFailureError(f"inconsistent cocycle at edge {key}")
+    edge_sign = dict(zip(map(tuple, table.edges[keep].tolist()),
+                         side_sign[keep, 0].tolist()))
+    return SignLift(mesh=mesh, spin=spin, eta=eta, edge_sign=edge_sign)
 
 
 def cone_loop_sign(lift: SignLift, patch, ring=1):

@@ -39,6 +39,7 @@ import scipy.sparse.linalg as spla
 from scipy.special import exp1
 
 from .cone_analysis import pencil_coefficients
+from .surface import patch_triangle_ids
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -244,17 +245,6 @@ def assemble_operator(mesh, lift, extension, periods=None, char=None,
                             enrichment=enrichment, cutoff=tuple(cutoff))
 
 
-def _patch_triangle_ids(mesh, k, radius):
-    cone = mesh.cone_patches[k].cone
-    out = []
-    for t in range(mesh.n_triangles):
-        if int(mesh.tri_chart[t]) not in cone.incident_tori:
-            continue
-        if np.max(np.abs(mesh.tri_pos[t] - cone.position)) <= radius:
-            out.append(t)
-    return out
-
-
 def _assemble_local_enrichment(mesh, lift, enrichment, dof_of_vertex, cutoff,
                                rows_a, cols_a, vals_a, rows_m, cols_m, vals_m):
     eta = lift.eta
@@ -281,7 +271,7 @@ def _assemble_local_enrichment(mesh, lift, enrichment, dof_of_vertex, cutoff,
         nE = len(ents)
         aEE = np.zeros((nE, nE), dtype=complex)
         mEE = np.zeros((nE, nE), dtype=complex)
-        for t in _patch_triangle_ids(mesh, k, r2 * 1.05):
+        for t in patch_triangle_ids(mesh, k, r2 * 1.05):
             p = mesh.tri_pos[t]
             A2 = 0.5 * (np.conj(p[1] - p[0]) * (p[2] - p[0])).imag
             zq = _QB @ p

@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import Delaunay
@@ -151,10 +152,6 @@ class TranslationSurface:
     def genus(self):
         return self.moduli.genus
 
-    def torus_area(self, j):
-        a, b = self.tori[j]
-        return -(a * np.conj(b)).imag
-
     def to_dict(self):
         d = self.moduli.to_dict()
         d["cone_points"] = [{"position": [c.position.real, c.position.imag],
@@ -262,9 +259,45 @@ class ConePatch:
     def outer_radius(self):
         return self.ring_radii[0]
 
-    @property
-    def inner_radius(self):
-        return self.ring_radii[-1]
+
+class EdgeTable:
+    """Oriented edges of a closed triangle mesh.
+
+    edges: (ne, 2) the unique undirected edges (u < v), sorted
+        lexicographically; cochains are arrays over this order.
+    index, sign: (nt, 3) the edge of the side from corner c to corner c + 1
+        of each triangle, and +1 where that side runs from edges[:, 0] to
+        edges[:, 1], -1 where it runs back.
+    slots: (ne, 2) the two sides 3 t + c of each edge, ascending.
+    """
+
+    def __init__(self, triangles, n_vertices):
+        heads = np.roll(triangles, -1, axis=1)
+        keys = (np.minimum(triangles, heads) * n_vertices
+                + np.maximum(triangles, heads)).ravel()
+        self._keys, inverse = np.unique(keys, return_inverse=True)
+        if np.any(np.bincount(inverse) != 2):
+            raise MeshConformityError("an edge is not shared by exactly two "
+                                      "triangle sides")
+        self.n_vertices = n_vertices
+        self.edges = np.column_stack([self._keys // n_vertices,
+                                      self._keys % n_vertices])
+        self.index = inverse.reshape(triangles.shape)
+        self.sign = np.where(triangles < heads, 1, -1).astype(np.int8)
+        self.slots = np.argsort(inverse, kind="stable").reshape(-1, 2)
+
+    def lookup(self, tails, heads):
+        """Edge index and orientation sign of each step tails[i] -> heads[i];
+        raises KeyError at a step that is not a mesh edge."""
+        tails, heads = np.asarray(tails), np.asarray(heads)
+        keys = (np.minimum(tails, heads) * self.n_vertices
+                + np.maximum(tails, heads))
+        idx = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
+        missing = self._keys[idx] != keys
+        if np.any(missing):
+            k = int(np.argmax(missing))
+            raise KeyError((int(tails[k]), int(heads[k])))
+        return idx, np.where(tails < heads, 1, -1)
 
 
 @dataclass
@@ -297,17 +330,27 @@ class SpinMesh:
     def genus(self):
         return self.surface.genus
 
+    @cached_property
+    def edge_table(self):
+        """The oriented edge table (EdgeTable) that indexes every cochain."""
+        return EdgeTable(self.triangles, self.n_vertices)
+
     def edges(self):
         """Sorted unique undirected edges as an (ne, 2) array."""
-        e = np.vstack([self.triangles[:, [0, 1]], self.triangles[:, [1, 2]],
-                       self.triangles[:, [2, 0]]])
-        e.sort(axis=1)
-        return np.unique(e, axis=0)
+        return self.edge_table.edges
+
+    def edge_vectors(self):
+        """omega along each table edge, from edges[:, 0] to edges[:, 1], read
+        off the corner positions of the edge's first triangle side (exact
+        across the fundamental-domain seams)."""
+        table = self.edge_table
+        sides = (np.roll(self.tri_pos, -1, axis=1) - self.tri_pos) * table.sign
+        return sides.ravel()[table.slots[:, 0]]
 
     def triangle_areas(self):
         p = self.tri_pos
         cr = ((p[:, 1] - p[:, 0]) * np.conj(p[:, 2] - p[:, 0])).imag
-        return -0.5 * cr if False else 0.5 * np.abs(cr)
+        return 0.5 * np.abs(cr)
 
     def signed_areas(self):
         p = self.tri_pos
@@ -964,47 +1007,40 @@ def _angle_sum_at(mesh, vertex):
     return total
 
 
+def patch_triangle_ids(mesh: SpinMesh, k: int, radius: float):
+    """Ids of the triangles around cone k: charted on one of the cone's
+    incident tori, with every corner within radius of the cone point."""
+    cone = mesh.cone_patches[k].cone
+    near = np.max(np.abs(mesh.tri_pos - cone.position), axis=1) <= radius
+    return np.flatnonzero(near & np.isin(mesh.tri_chart, cone.incident_tori))
+
+
 def cone_patch_triangles(mesh: SpinMesh, radius_factor: float = 1.02):
     """Per cone patch, the triangles inside it with their corner coordinates
     in the distinguished chart.
 
-    Returns a list (one entry per patch) of dicts {t: x_corners}, where
-    x_corners is the (3,) complex array of corner positions in the x-chart
-    (x^2/2 = z - P, sheet-aware, branch cut along the slit ray).  Corners on
-    the ray are disambiguated by the triangle side; the cone vertex maps to 0.
+    Returns a list (one entry per patch) of pairs (ids, x_corners): the
+    triangles within radius_factor times the patch's outer radius, and their
+    (n, 3) corner positions in the x-chart (x^2/2 = z - P, sheet-aware,
+    branch cut along the slit ray).  Corners on the ray are disambiguated by
+    the triangle side; the cone vertex maps to 0.
     """
     out = []
-    for patch in mesh.cone_patches:
+    for k, patch in enumerate(mesh.cone_patches):
         cone = patch.cone
-        r0 = patch.outer_radius * radius_factor
-        sheet0, _ = patch.sheet_tori
-        ray = np.exp(1j * cone.theta_ray)
-        tris = {}
-        for t in range(mesh.n_triangles):
-            pos = mesh.tri_pos[t]
-            zeta = pos - cone.position
-            if np.max(np.abs(zeta)) > r0:
-                continue
-            chart = int(mesh.tri_chart[t])
-            if chart not in cone.incident_tori:
-                continue
-            flag = 0 if chart == sheet0 else 1
-            centroid = zeta.mean()
-            left_of_ray = (centroid / ray).imag > 0
-            xc = np.empty(3, dtype=complex)
-            for c in range(3):
-                if abs(zeta[c]) < 1e-14:
-                    xc[c] = 0.0
-                    continue
-                delta = (np.angle(zeta[c]) - cone.theta_ray) % (2.0 * math.pi)
-                on_ray = min(delta, 2.0 * math.pi - delta) < 1e-9
-                if on_ray:
-                    delta = 0.0 if left_of_ray else 2.0 * math.pi
-                phi = delta + 2.0 * math.pi * flag
-                xc[c] = math.sqrt(2.0 * abs(zeta[c])) * np.exp(
-                    0.5j * (phi + cone.theta_ray))
-            tris[t] = xc
-        out.append(tris)
+        ids = patch_triangle_ids(mesh, k, patch.outer_radius * radius_factor)
+        zeta = mesh.tri_pos[ids] - cone.position
+        r = np.hypot(zeta.real, zeta.imag)
+        sheet = mesh.tri_chart[ids] != patch.sheet_tori[0]
+        left_of_ray = (zeta.mean(axis=1) / np.exp(1j * cone.theta_ray)).imag > 0
+        delta = (np.angle(zeta) - cone.theta_ray) % (2.0 * math.pi)
+        on_ray = np.minimum(delta, 2.0 * math.pi - delta) < 1e-9
+        delta = np.where(on_ray, np.where(left_of_ray, 0.0, 2.0 * math.pi)[:, None],
+                         delta)
+        phi = delta + 2.0 * math.pi * sheet[:, None]
+        x = np.sqrt(2.0 * r) * np.exp(0.5j * (phi + cone.theta_ray))
+        x[r < 1e-14] = 0.0
+        out.append((ids, x))
     return out
 
 
@@ -1014,22 +1050,6 @@ def cycle_period(mesh: SpinMesh, path) -> complex:
     Edge increments are taken from triangle corner positions, so wraps across
     the fundamental-domain seams are handled exactly.
     """
-    pos = _edge_vector_table(mesh)
-    total = 0.0 + 0.0j
-    for u, v in zip(path[:-1], path[1:]):
-        total += pos[(int(u), int(v))]
-    return total
-
-
-def _edge_vector_table(mesh):
-    if getattr(mesh, "_edge_vectors", None) is None:
-        table = {}
-        for t in range(mesh.n_triangles):
-            tri = mesh.triangles[t]
-            p = mesh.tri_pos[t]
-            for c in range(3):
-                u, v = int(tri[c]), int(tri[(c + 1) % 3])
-                table[(u, v)] = p[(c + 1) % 3] - p[c]
-                table[(v, u)] = p[c] - p[(c + 1) % 3]
-        mesh._edge_vectors = table
-    return mesh._edge_vectors
+    path = np.asarray(path)
+    idx, sign = mesh.edge_table.lookup(path[:-1], path[1:])
+    return complex(np.sum(sign * mesh.edge_vectors()[idx]))

@@ -190,3 +190,82 @@ def dedekind_eta(tau, nmax=200):
     for n in range(1, nmax + 1):
         prod *= (1.0 - q ** n)
     return np.exp(1j * math.pi * tau / 12.0) * prod
+
+
+# ---------------------------------------------------------------------------
+# edge cochains read from the triangle list alone
+
+def sorted_edges(triangles):
+    """Unique undirected edges (u, v), u < v, of a triangle list in ascending
+    order: the order in which spinlap stores edge cochains."""
+    return sorted({(min(int(a), int(b)), max(int(a), int(b)))
+                   for tri in triangles for a, b in zip(tri, np.roll(tri, -1))})
+
+
+def _oriented(cochain, index, u, v):
+    return cochain[..., index[(u, v)]] if u < v else -cochain[..., index[(v, u)]]
+
+
+def edge_path_sum(triangles, cochain, path):
+    """Sum of an edge cochain along a vertex path, each step u -> v counted
+    with sign -1 when it runs against its edge (u > v)."""
+    index = {e: i for i, e in enumerate(sorted_edges(triangles))}
+    total = 0.0
+    for u, v in zip(path[:-1], path[1:]):
+        total = total + _oriented(cochain, index, int(u), int(v))
+    return total
+
+
+def edge_vectors(triangles, tri_pos):
+    """z(v) - z(u) along each sorted edge (u, v), from the corner positions of
+    a triangle that carries it."""
+    dz = {}
+    for tri, pos in zip(triangles, tri_pos):
+        for c in range(3):
+            u, v = int(tri[c]), int(tri[(c + 1) % 3])
+            d = pos[(c + 1) % 3] - pos[c]
+            dz[(u, v) if u < v else (v, u)] = d if u < v else -d
+    return np.array([dz[e] for e in sorted_edges(triangles)])
+
+
+def triangle_pq_lstsq(triangles, corners, cochains):
+    """Per-triangle (p, q), each (m, nt), with cochain ~ p dz + q dzbar in the
+    coordinates of corners: one least-squares solve per triangle on its three
+    sides, for all m cochains (m, ne) at once."""
+    index = {e: i for i, e in enumerate(sorted_edges(triangles))}
+    m, nt = len(cochains), len(triangles)
+    p = np.zeros((m, nt), dtype=complex)
+    q = np.zeros((m, nt), dtype=complex)
+    for t, (tri, pos) in enumerate(zip(triangles, corners)):
+        A = np.zeros((3, 2), dtype=complex)
+        b = np.zeros((3, m), dtype=complex)
+        for c in range(3):
+            u, v = int(tri[c]), int(tri[(c + 1) % 3])
+            dz = pos[(c + 1) % 3] - pos[c]
+            A[c] = (dz, np.conj(dz))
+            b[c] = _oriented(cochains, index, u, v)
+        (p[:, t], q[:, t]), *_ = np.linalg.lstsq(A, b, rcond=None)
+    return p, q
+
+
+def bfs_tree(triangles, n_vertices, root=0):
+    """Breadth-first spanning tree over ascending neighbours: the visit order
+    and each vertex's parent (-1 at the root)."""
+    from collections import deque
+    neighbours = [set() for _ in range(n_vertices)]
+    for tri in triangles:
+        for a, b in zip(tri, np.roll(tri, -1)):
+            neighbours[int(a)].add(int(b))
+            neighbours[int(b)].add(int(a))
+    parent = np.full(n_vertices, -1)
+    order, queue = [root], deque([root])
+    seen = {root}
+    while queue:
+        u = queue.popleft()
+        for v in sorted(neighbours[u]):
+            if v not in seen:
+                seen.add(v)
+                parent[v] = u
+                order.append(v)
+                queue.append(v)
+    return order, parent

@@ -9,6 +9,8 @@ import pytest
 from spinlap import surface as sf, hodge
 from spinlap import theta as th
 
+import oracles
+
 
 @pytest.fixture(scope="module")
 def torus_pd():
@@ -40,10 +42,8 @@ def test_torus_harmonic_forms_are_constant_cochains():
     # A = 1, B = i: harmonic representatives are the dx, dy cochains
     s = sf.build_surface(sf.ModuliPoint(genus=1, A=[1.0], B=[1j]))
     mesh = sf.generate_mesh(s, h=0.1)
-    edges, emap, coch = hodge.harmonic_basis(mesh)
-    from spinlap.surface import _edge_vector_table
-    table = _edge_vector_table(mesh)
-    dz = np.array([table[(int(u), int(v))] for u, v in edges])
+    coch, _ = hodge.harmonic_basis(mesh, mesh.tri_pos)   # no cone patches
+    dz = oracles.edge_vectors(mesh.triangles, mesh.tri_pos)
     # gamma_a-harmonic should be the cochain Re(dz) (s-crossing direction)
     assert np.max(np.abs(coch[0] - dz.real)) < 1e-10
     assert np.max(np.abs(coch[1] - dz.imag)) < 1e-10
@@ -77,8 +77,8 @@ def test_a_period_normalization(g2_pd):
     mesh = g2_pd.mesh
     for j in range(2):
         for i in range(2):
-            val = hodge._path_integral(g2_pd.upsilon[j], g2_pd.emap,
-                                       mesh.cycle_paths[i]["a"])
+            val = oracles.edge_path_sum(mesh.triangles, g2_pd.upsilon[j],
+                                        mesh.cycle_paths[i]["a"])
             assert abs(val - (1.0 if i == j else 0.0)) < 1e-10
 
 
@@ -87,11 +87,35 @@ def test_abel_map_closed_loop(g2_pd):
     mesh = g2_pd.mesh
     tri = mesh.triangles[10]
     path = [int(tri[0]), int(tri[1]), int(tri[2]), int(tri[0])]
-    total = np.zeros(2, dtype=complex)
-    for u, v in zip(path[:-1], path[1:]):
-        for i in range(2):
-            total[i] += hodge._oriented_value(g2_pd.upsilon[i], g2_pd.emap, u, v)
+    total = oracles.edge_path_sum(mesh.triangles, g2_pd.upsilon, path)
     assert np.max(np.abs(total)) < 1e-12
+
+
+@pytest.mark.parametrize("case", ["torus", "g2"])
+def test_batched_pq_matches_per_triangle_lstsq(case):
+    if case == "torus":
+        m, h = sf.ModuliPoint(genus=1, A=[1.0], B=[0.3 + 1.2j]), 0.08
+    else:
+        m, h = sf.ModuliPoint(genus=2, A=[1.0, 1.0], B=[1j, 2j], C=[0.2, 0.5]), 0.05
+    mesh = sf.generate_mesh(sf.build_surface(m), h=h)
+    xcorners = mesh.tri_pos.copy()
+    for ids, x in sf.cone_patch_triangles(mesh):
+        xcorners[ids] = x
+    cochains, _ = hodge.harmonic_basis(mesh, xcorners)
+    assert len(cochains) == 2 * m.genus
+    for corners in (mesh.tri_pos, xcorners):
+        got = hodge._triangle_pq(mesh.edge_table, corners, cochains)
+        ref = oracles.triangle_pq_lstsq(mesh.triangles, corners, cochains)
+        for a, b in zip(got, ref):
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
+def test_spanning_tree_is_ascending_bfs(g2_pd):
+    mesh = g2_pd.mesh
+    order, parent = oracles.bfs_tree(mesh.triangles, mesh.n_vertices)
+    got_order, got_parent = g2_pd.tree
+    assert list(got_order) == order
+    assert np.array_equal(got_parent[order[1:]], parent[order[1:]])
 
 
 def test_abel_tri_handle_consistency(g2_pd):

@@ -1,5 +1,7 @@
 """Spin-structure enumeration, sign lifts, and characteristic calibration."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,22 @@ def test_g2_contractible_loops(g2_setup):
     rng = np.random.default_rng(11)
     for loop in hs.sample_contractible_loops(mesh, rng, count=40):
         assert lift.loop_sign(loop) == 1
+
+
+def test_inconsistent_slit_sign_raises(g2_setup):
+    # one flipped corner sign breaks the cocycle on the triangle's two sides
+    # through that corner
+    mesh, _ = g2_setup
+    cone = set(mesh.cone_vertex_ids())
+    t = next(t for t, tri in enumerate(mesh.triangles)
+             if not cone & {int(v) for v in tri})
+    flipped = mesh.tri_slit_sign.copy()
+    flipped[t, 0] *= -1
+    broken = dataclasses.replace(mesh, tri_slit_sign=flipped)
+    spin = hs.enumerate_spin_structures(2)[0]
+    hs.build_sign_lift(mesh, spin)
+    with pytest.raises(hs.LiftFailureError):
+        hs.build_sign_lift(broken, spin)
 
 
 def test_g2_cycle_monodromies(g2_setup):

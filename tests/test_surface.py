@@ -7,6 +7,8 @@ import pytest
 
 from spinlap import surface as sf
 
+import oracles
+
 
 @pytest.fixture(scope="module")
 def g2_surface():
@@ -147,6 +149,22 @@ def test_euler_characteristic(g2_mesh):
     ne = len(g2_mesh.edges())
     nf = g2_mesh.n_triangles
     assert nv - ne + nf == 2 - 2 * g2_mesh.genus
+
+
+def test_edge_table_sides(g2_mesh):
+    # every edge sits on exactly two triangle sides, once in each direction
+    table = g2_mesh.edge_table
+    tails = g2_mesh.triangles
+    heads = np.roll(tails, -1, axis=1)
+    ends = table.edges[table.index]
+    forward = table.sign == 1
+    assert np.array_equal(np.where(forward, ends[..., 0], ends[..., 1]), tails)
+    assert np.array_equal(np.where(forward, ends[..., 1], ends[..., 0]), heads)
+    assert table.edges.tolist() == [list(e) for e in
+                                    oracles.sorted_edges(g2_mesh.triangles)]
+    sides = table.index.ravel()
+    assert np.all(np.bincount(sides) == 2)
+    assert np.all(np.bincount(sides, weights=table.sign.ravel()) == 0)
 
 
 def test_cone_angle_4pi(g2_mesh):
