@@ -73,6 +73,52 @@ def _bulk_triangles(mesh):
     return np.flatnonzero(~in_patch)
 
 
+def _quadrature_nodes(periods, n_rad, n_ang):
+    """Nodes of the composite rule for T(0): their Abel images (M, g), the
+    ratios v_i = upsilon_i / omega there (in the distinguished chart
+    upsilon_i / dx) as (M, g), and the weights (M,) of dmu.  Bulk triangles
+    come first (7 nodes each), then the polar rule of each cone patch."""
+    mesh = periods.mesh
+    g = periods.genus
+    # ---- bulk triangles
+    bulk = _bulk_triangles(mesh)
+    pos = mesh.tri_pos[bulk]                                 # (T, 3)
+    areas = 0.5 * np.abs((np.conj(pos[:, 1] - pos[:, 0])
+                          * (pos[:, 2] - pos[:, 0])).imag)
+    zq = np.einsum("qc,tc->tq", _QB, pos)                    # (T, 7)
+    # Abel map by per-triangle linear model
+    a0 = periods.abel_vertex[:, mesh.triangles[bulk, 0]].T   # (T, g)
+    vt = periods.v_tri[:, bulk].T                            # (T, g)
+    abel_q = a0[:, None, :] + vt[:, None, :] * (zq - pos[:, 0][:, None])[:, :, None]
+    nodes = [abel_q.reshape(-1, g)]
+    ratios = [np.repeat(vt, zq.shape[1], axis=0)]
+    weights = [(areas[:, None] * _QW[None, :]).ravel()]
+
+    # ---- cone patches: polar rule in the distinguished chart,
+    # measure |x| dLeb(x) = R^2 rho drho dpsi with x = R rho e^{i psi}
+    xg, wg = np.polynomial.legendre.leggauss(n_rad)
+    rho = 0.5 * (xg + 1.0)
+    wr = 0.5 * wg
+    psi = 2.0 * math.pi * np.arange(n_ang) / n_ang
+    wpsi = 2.0 * math.pi / n_ang
+    for k, patch in enumerate(mesh.cone_patches):
+        Rx = math.sqrt(2.0 * patch.outer_radius)
+        xs = (Rx * rho[:, None] * np.exp(1j * psi[None, :])).ravel()
+        weights.append((Rx ** 2 * rho[:, None] * wr[:, None] * wpsi
+                        * np.ones_like(psi)[None, :]).ravel() * np.abs(xs))
+        ratios.append(np.array([np.polyval(periods.cone_poly[k][i][::-1], xs)
+                                for i in range(g)]).T)
+        # Abel map: A(P_k) + antiderivative of the Taylor fit
+        abel_cone = periods.abel(("cone", k, 0.0))
+        abel_q = np.empty((len(xs), g), dtype=complex)
+        for i in range(g):
+            coef = np.asarray(periods.cone_poly[k][i], dtype=complex)
+            anti = np.concatenate([[0.0], coef / np.arange(1, len(coef) + 1)])
+            abel_q[:, i] = abel_cone[i] + np.polyval(anti[::-1], xs)
+        nodes.append(abel_q)
+    return np.concatenate(nodes), np.concatenate(ratios), np.concatenate(weights)
+
+
 def t_matrix_zero(surface, periods, char, delta=None, n_rad=24, n_ang=64,
                   herm_tol=5e-3, error_estimate=True):
     """Scattering matrix T(0) (and S-Gram = pi^2 T(0)) by composite quadrature.
@@ -80,7 +126,8 @@ def t_matrix_zero(surface, periods, char, delta=None, n_rad=24, n_ang=64,
     The construction is Hermitian by assembly, so the reported quadrature
     error is estimated by re-evaluating with a different odd reference
     characteristic (the result is delta-independent in the continuum; the
-    spread measures the prime-form discretization error)."""
+    spread measures the prime-form discretization error).  Both evaluations
+    share the quadrature nodes and the theta[p,q] numerators."""
     mesh = periods.mesh
     g = periods.genus
     ncone = len(mesh.cone_patches)
@@ -94,87 +141,35 @@ def t_matrix_zero(surface, periods, char, delta=None, n_rad=24, n_ang=64,
     t0_theta = periods.theta0(char)
     if abs(t0_theta) < 1e-10:
         raise th.DegenerateSpinError(f"theta{char.label()}(0) ~ 0")
-    grad_d = periods.theta_gradient0(delta)
-    abel_cones = [periods.abel(("cone", k, 0.0)) for k in range(ncone)]
-    kappa = np.array([periods.h_delta(delta, ("cone", k, 0.0))
-                      for k in range(ncone)])
 
     B = periods.b_matrix
-    raw = np.zeros((ncone, ncone), dtype=complex)
+    nodes, ratios, weights = _quadrature_nodes(periods, n_rad, n_ang)
+    shifts = [nodes - periods.abel(("cone", k, 0.0))[None, :] for k in range(ncone)]
+    num = [th.theta_batch(char, w, B) for w in shifts]
 
-    def accumulate(abel_pts, h2_abs, weights):
-        """Add sum_q w_q theta_i conj(theta_j) |h2| / (td_i conj(td_j))."""
-        num, den = [], []
-        for k in range(ncone):
-            w = abel_pts - abel_cones[k][None, :]
-            num.append(th.theta_batch(char, w, B))
-            den.append(th.theta_batch(delta, w, B))
-        for i in range(ncone):
-            fi = num[i] / den[i]
-            for j in range(ncone):
-                fj = num[j] / den[j]
-                raw[i, j] += np.sum(weights * h2_abs * fi * np.conj(fj))
+    def assemble(delta):
+        """T(0) with reference characteristic delta: the sums
+        sum_q w_q theta_i conj(theta_j) |h2| / (td_i conj(td_j)), scaled."""
+        kappa = np.array([periods.h_delta(delta, ("cone", k, 0.0))
+                          for k in range(ncone)])
+        h2 = np.abs(ratios @ periods.theta_gradient0(delta))
+        f = np.array([num[k] / th.theta_batch(delta, shifts[k], B)
+                      for k in range(ncone)])                # (ncone, M)
+        raw = (f * (weights * h2)) @ f.conj().T
+        scale = np.outer(kappa, np.conj(kappa)) / (math.pi ** 2 * abs(t0_theta) ** 2)
+        t0 = scale * raw
+        herm = float(np.max(np.abs(t0 - t0.conj().T)))
+        if herm > herm_tol * max(1e-30, float(np.max(np.abs(t0)))):
+            raise QuadratureError(f"T(0) Hermiticity defect {herm:.2e} above threshold")
+        if np.linalg.eigvalsh(0.5 * (t0 + t0.conj().T)).min() <= 0:
+            raise ConsistencyError("T(0) not positive definite")
+        return t0, herm
 
-    # ---- bulk triangles
-    bulk = _bulk_triangles(mesh)
-    chunk = 4000
-    for lo in range(0, len(bulk), chunk):
-        ids = bulk[lo:lo + chunk]
-        pos = mesh.tri_pos[ids]                          # (T, 3)
-        areas = 0.5 * np.abs((np.conj(pos[:, 1] - pos[:, 0])
-                              * (pos[:, 2] - pos[:, 0])).imag)
-        zq = np.einsum("qc,tc->tq", _QB, pos)            # (T, 7)
-        wq = areas[:, None] * _QW[None, :]
-        # Abel map by per-triangle linear model
-        a0 = periods.abel_vertex[:, mesh.triangles[ids, 0]].T    # (T, g)
-        vt = periods.v_tri[:, ids].T                             # (T, g)
-        abel_q = a0[:, None, :] + vt[:, None, :] * (zq - pos[:, 0][:, None])[:, :, None]
-        h2 = np.abs(np.einsum("i,ti->t", grad_d, vt))            # (T,)
-        h2_q = np.repeat(h2[:, None], zq.shape[1], axis=1)
-        accumulate(abel_q.reshape(-1, g), h2_q.ravel(), wq.ravel())
-
-    # ---- cone patches: polar rule in the distinguished chart,
-    # measure |x| dLeb(x) = R^2 rho drho dpsi with x = R rho e^{i psi}
-    xg, wg = np.polynomial.legendre.leggauss(n_rad)
-    rho = 0.5 * (xg + 1.0)
-    wr = 0.5 * wg
-    psi = 2.0 * math.pi * np.arange(n_ang) / n_ang
-    wpsi = 2.0 * math.pi / n_ang
-    for k in range(ncone):
-        patch = mesh.cone_patches[k]
-        Rz = patch.outer_radius
-        Rx = math.sqrt(2.0 * Rz)
-        xs = (Rx * rho[:, None] * np.exp(1j * psi[None, :])).ravel()
-        ww = (Rx ** 2 * rho[:, None] * wr[:, None] * wpsi
-              * np.ones_like(psi)[None, :]).ravel() * np.abs(xs)
-        edx = np.array([np.polyval(periods.cone_poly[k][i][::-1], xs)
-                        for i in range(g)])              # upsilon/dx at xs
-        h2x = np.abs(np.einsum("i,iq->q", grad_d, edx))
-        # Abel map: A(P_k) + antiderivative of the Taylor fit
-        abel_q = np.empty((len(xs), g), dtype=complex)
-        for i in range(g):
-            coef = periods.cone_poly[k][i]
-            anti = np.zeros(len(coef) + 1, dtype=complex)
-            for n in range(len(coef)):
-                anti[n + 1] = coef[n] / (n + 1)
-            abel_q[:, i] = abel_cones[k][i] + np.polyval(anti[::-1], xs)
-        accumulate(abel_q, h2x, ww)
-
-    scale = np.outer(kappa, np.conj(kappa)) / (math.pi ** 2 * abs(t0_theta) ** 2)
-    t0 = scale * raw
-    herm = float(np.max(np.abs(t0 - t0.conj().T)))
-    if herm > herm_tol * max(1e-30, float(np.max(np.abs(t0)))):
-        raise QuadratureError(f"T(0) Hermiticity defect {herm:.2e} above threshold")
-    err = herm
+    t0, err = assemble(delta)
     if error_estimate:
-        odd = [d for d in th.odd_characteristics(g) if d != delta]
-        alt = t_matrix_zero(surface, periods, char, delta=odd[0],
-                            n_rad=n_rad, n_ang=n_ang, error_estimate=False)
-        err = float(np.max(np.abs(np.abs(alt.t0) - np.abs(t0))))
-    data = ScatteringData(t0=t0, quadrature_error=err, char=char)
-    if data.min_eigenvalue() <= 0:
-        raise ConsistencyError("T(0) not positive definite")
-    return data
+        alt, _ = assemble([d for d in th.odd_characteristics(g) if d != delta][0])
+        err = float(np.max(np.abs(np.abs(alt) - np.abs(t0))))
+    return ScatteringData(t0=t0, quadrature_error=err, char=char)
 
 
 def s_gram_direct(periods, char, lift, delta=None, n_rad=20, n_ang=40):

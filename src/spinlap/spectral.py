@@ -436,6 +436,8 @@ class SpectralResult:
     op: DiscreteOperator = None
     label: str = ""
     cone_coefficients: dict = None     # filled by extract_singular_coefficients
+    requested: int = None              # N passed to eigenvalues(), before
+                                       # its clamp to n_dofs - 2
 
     def extract_cone_coefficients(self, modes, cones=None):
         """Populate cone_coefficients[(mode, k)] for selected eigenfunctions."""
@@ -464,10 +466,13 @@ class SpectralResult:
 
 
 def eigenvalues(op: DiscreteOperator, N: int, vectors=False, sigma=None):
-    """N smallest generalized eigenvalues of (stiffness, mass)."""
+    """N smallest generalized eigenvalues of (stiffness, mass).
+
+    ARPACK's shift-invert solve gives at most n_dofs - 2 of them; a larger N
+    is clamped, and the result records the N asked for as `requested`."""
     from .surface import flat_area
     ndof = op.n_dofs
-    N = min(N, ndof - 2)
+    requested, N = N, min(N, ndof - 2)
     if sigma is None:
         sigma = -0.1 if op.extension.startswith("holomorphic") else 0.0
         if op.extension == "szego":
@@ -489,7 +494,8 @@ def eigenvalues(op: DiscreteOperator, N: int, vectors=False, sigma=None):
     lam = np.where(np.abs(lam) < 1e-13, 0.0, lam)
     return SpectralResult(extension=op.extension, h=op.mesh.h,
                           genus=op.mesh.genus, area=flat_area(op.mesh.surface),
-                          eigenvalues=lam, n_dofs=ndof, vectors=vec, op=op)
+                          eigenvalues=lam, n_dofs=ndof, vectors=vec, op=op,
+                          requested=requested)
 
 
 def richardson_eigenvalues(res_coarse: SpectralResult, res_fine: SpectralResult):

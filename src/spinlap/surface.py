@@ -693,19 +693,23 @@ def _assemble_glued(surf, torus_pts, slit_params, r0s, h, grading, rings, n_ang,
             M = np.array([[a.real, b.real], [a.imag, b.imag]])
             Minv = np.linalg.inv(M)
             anchor = surf.anchors[j]
-            combi = []
-            for simplex in dt.simplices:
-                zc = tiled[simplex].mean()
-                st = Minv @ [zc.real - anchor.real, zc.imag - anchor.imag]
-                if not (0.0 <= st[0] < 1.0 and 0.0 <= st[1] < 1.0):
-                    continue
-                corner_pos = tiled[simplex]
-                area2 = (np.conj(corner_pos[1] - corner_pos[0])
-                         * (corner_pos[2] - corner_pos[0])).imag
-                order = [0, 1, 2] if area2 > 0 else [0, 2, 1]
-                simplex = simplex[order]
-                combi.append(tuple((int(s % npts), offsets[s // npts])
-                                   for s in simplex))
+            # keep the simplices whose centroid lies in the base tile, in
+            # Delaunay order, oriented counter-clockwise
+            simplices = dt.simplices
+            corner_pos = tiled[simplices]                        # (S, 3)
+            zc = corner_pos.mean(axis=1)
+            x, y = zc.real - anchor.real, zc.imag - anchor.imag
+            # written out: a matrix product may fuse multiply-adds, which
+            # moves centroids on the tile boundary across it
+            u = Minv[0, 0] * x + Minv[0, 1] * y
+            v = Minv[1, 0] * x + Minv[1, 1] * y
+            inside = (0.0 <= u) & (u < 1.0) & (0.0 <= v) & (v < 1.0)
+            d1 = corner_pos[:, 1] - corner_pos[:, 0]
+            d2 = corner_pos[:, 2] - corner_pos[:, 0]
+            ccw = d1.real * d2.imag - d1.imag * d2.real > 0
+            in_tile = np.where(ccw[:, None], simplices, simplices[:, [0, 2, 1]])[inside]
+            combi = [tuple((c % npts, offsets[c // npts]) for c in row)
+                     for row in in_tile.tolist()]
         else:
             combi = frozen_tris[j]
         if tris_out is not None:

@@ -4,11 +4,20 @@ and the Szego kernel.
 theta[p,q](xi | B) = sum_{n in Z^g} exp( i pi (n+p)^T B (n+p)
                                          + 2 pi i (n+p)^T (xi + q) ),
 
-with p, q in {0, 1/2}^g and Im B positive definite.  Values, xi-gradients and
-xi-Hessians come from a truncated lattice sum over an ellipsoidal shell whose
-radius is set by the Gaussian tail bound; arguments are first reduced modulo
-Z^g + B Z^g with the exact quasi-periodicity factor multiplied back in, so the
-returned value is the true theta value (not a reduced representative).
+with p, q in {0, 1/2}^g and Im B positive definite.  Arguments are first
+reduced modulo Z^g + B Z^g, with the exact quasi-periodicity factor
+multiplied back in, so the returned value is the true theta value (not a
+reduced representative).  At the reduced arguments the sum runs over the
+box n = k + p, k in [-r, r]^g, whose half-width r is set by the Gaussian
+tail bound and the largest |Im xi| of the batch.  Each term factors over
+the axes,
+
+    exp(i pi n^T B n) * prod_i exp(2 pi i n_i (xi_i + q_i)),
+
+so per argument only the g (2r+1) axis factors are exponentiated; they are
+contracted with the (2r+1)^g coefficient tensor exp(i pi n^T B n), one axis
+at a time.  xi-derivatives weight the axis factors by 2 pi i n_i, the
+B-derivative weights the coefficient tensor by i pi n_i n_j.
 
 The prime form and Szego kernel are built on top of a PeriodData-like object
 (see hodge.PeriodData) that provides the Abel map, the ratios v_i = upsilon_i
@@ -106,114 +115,13 @@ def _check_b(B):
     return B, float(w.min())
 
 
-def _lattice(g: int, radius: float):
-    """Integer points in the centered box of half-width ceil(radius)."""
-    r = int(math.ceil(radius))
-    axes = [np.arange(-r, r + 1)] * g
-    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, g)
-    return pts
+def _reduce(char, xi, B):
+    """Split each row of the (M, g) batch xi as xi0 + nu + B mu with integer
+    vectors nu, mu and small xi0.
 
-
-def reduce_argument(xi, B):
-    """Split xi = xi0 + nu + B mu with integer vectors nu, mu and small xi0.
-
-    Returns (xi0, nu, mu).  theta[p,q](xi) = F * theta[p,q](xi0) with
-    F = exp(2 pi i p.nu - 2 pi i mu.(xi0 + q) - i pi mu.B.mu).
+    Returns (xi0, mu, fac) with theta[p,q](xi) = fac * theta[p,q](xi0) and
+    fac = exp(2 pi i p.nu - 2 pi i mu.(xi0 + q) - i pi mu.B.mu).
     """
-    xi = np.asarray(xi, dtype=complex)
-    im_b = B.imag
-    mu = np.round(np.linalg.solve(im_b, xi.imag)).astype(int)
-    shifted = xi - B @ mu
-    nu = np.round(shifted.real).astype(int)
-    xi0 = shifted - nu
-    return xi0, nu, mu
-
-
-def _reduction_factor(char, xi0, nu, mu, B):
-    p = np.asarray(char.p)
-    q = np.asarray(char.q)
-    expo = (TWO_PI_I * (p @ nu)
-            - TWO_PI_I * (mu @ (xi0 + q))
-            - 1j * math.pi * (mu @ B @ mu))
-    return np.exp(expo)
-
-
-def _theta_raw(char, xi, B, lam_min, tol, derivs=True):
-    """Direct truncated sums at argument xi: value, gradient, Hessian, dB.
-
-    xi: (M, g) batch.  Returns (val (M,), grad (M,g), hess (M,g,g),
-    dB (M,g,g)) where dB is the term-wise derivative in B_ij treating B_ij
-    and B_ji as independent entries.  derivs=False skips everything but the
-    values (the quadrature-scale path).
-    """
-    xi = np.atleast_2d(np.asarray(xi, dtype=complex))
-    g = xi.shape[1]
-    p = np.asarray(char.p)
-    q = np.asarray(char.q)
-    im_shift = np.max(np.linalg.norm(xi.imag, axis=1)) if xi.size else 0.0
-    radius = math.sqrt(max(math.log(1.0 / tol), 1.0) / (math.pi * lam_min)) \
-        + im_shift / lam_min + 1.5
-    n = _lattice(g, radius) + p                     # (L, g) shifted lattice
-    quad = np.einsum("li,ij,lj->l", n, B, n)        # n^T B n
-    lin = n @ (xi + q).T                            # (L, M)
-    ex = np.exp(1j * math.pi * quad[:, None] + TWO_PI_I * lin)
-    val = ex.sum(axis=0)
-    if not derivs:
-        return val, None, None, None
-    w = TWO_PI_I * n                                # d/dxi_i weights
-    grad = np.einsum("li,lm->mi", w, ex)
-    hess = np.einsum("li,lj,lm->mij", w, w, ex)
-    dB = 1j * math.pi * np.einsum("li,lj,lm->mij", n, n, ex)
-    return val, grad, hess, dB
-
-
-def theta(char, xi, B, deriv=(), tol=1e-12):
-    """theta[p,q](xi | B) or a xi-derivative of order <= 2.
-
-    deriv is a tuple of axis indices, e.g. () value, (0,) d/dxi_0,
-    (0, 1) d^2/dxi_0 dxi_1.  xi may be a vector (one point) or an (M, g)
-    batch.  The argument is reduced modulo the period lattice and the exact
-    quasi-periodicity factor is restored, so values are exact (not reduced
-    representatives).
-    """
-    B, lam_min = _check_b(B)
-    xi = np.asarray(xi, dtype=complex)
-    single = xi.ndim <= 1
-    xi = np.atleast_2d(xi)
-    M, g = xi.shape
-    if g != char.genus:
-        raise ValueError("characteristic size does not match xi")
-    if len(deriv) > 2:
-        raise ValueError("derivatives of order <= 2 only")
-
-    out = np.empty(M, dtype=complex)
-    for m in range(M):
-        xi0, nu, mu = reduce_argument(xi[m], B)
-        fac = _reduction_factor(char, xi0, nu, mu, B)
-        val, grad, hess, _ = _theta_raw(char, xi0[None, :], B, lam_min, tol)
-        v0, g0, h0 = val[0], grad[0], hess[0]
-        if len(deriv) == 0:
-            out[m] = fac * v0
-        elif len(deriv) == 1:
-            i = deriv[0]
-            out[m] = fac * (g0[i] - TWO_PI_I * mu[i] * v0)
-        else:
-            i, j = deriv
-            out[m] = fac * (h0[i, j]
-                            - TWO_PI_I * mu[i] * g0[j]
-                            - TWO_PI_I * mu[j] * g0[i]
-                            + (TWO_PI_I ** 2) * mu[i] * mu[j] * v0)
-    return out[0] if single else out
-
-
-def theta_batch(char, xi, B, tol=1e-12):
-    """Vectorized theta values over an (M, g) batch of arguments.
-
-    Argument reduction and the quasi-periodicity factors are applied in bulk,
-    so this is the entry point for quadrature-scale workloads.
-    """
-    B, lam_min = _check_b(B)
-    xi = np.atleast_2d(np.asarray(xi, dtype=complex))
     p = np.asarray(char.p)
     q = np.asarray(char.q)
     mu = np.round(np.linalg.solve(B.imag, xi.imag.T)).T.astype(int)   # (M, g)
@@ -223,9 +131,108 @@ def theta_batch(char, xi, B, tol=1e-12):
     expo = (TWO_PI_I * (nu @ p)
             - TWO_PI_I * np.einsum("mi,mi->m", mu, xi0 + q)
             - 1j * math.pi * np.einsum("mi,ij,mj->m", mu, B, mu))
-    facs = np.exp(expo)
-    val, _, _, _ = _theta_raw(char, xi0, B, lam_min, tol, derivs=False)
-    return facs * val
+    return xi0, mu, np.exp(expo)
+
+
+def _contract(coef, factors):
+    """sum_k coef[k] prod_i factors[i][m, k_i] for the K^g tensor coef and g
+    axis factors of shape (M, K): a matmul over the last axis, then one
+    einsum per remaining axis."""
+    K = coef.shape[-1]
+    M = factors[0].shape[0]
+    t = coef.reshape(-1, K) @ factors[-1].T                  # (K^(g-1), M)
+    for f in factors[-2::-1]:
+        t = np.einsum("akm,mk->am", t.reshape(len(t) // K, K, M), f)
+    return t[0]
+
+
+def _theta_raw(char, xi, B, lam_min, tol, order=0):
+    """Truncated lattice sum at the (M, g) batch xi of reduced arguments.
+
+    Returns (val (M,), grad (M, g), hess (M, g, g), dB (M, g, g)); order 0
+    computes the value only, order 1 adds the xi-gradient and order 2 the
+    xi-Hessian and dB, the term-wise derivative in B_ij treating B_ij and
+    B_ji as independent entries.  Entries not computed are None.
+    """
+    M, g = xi.shape
+    p = np.asarray(char.p)
+    q = np.asarray(char.q)
+    im_shift = np.max(np.linalg.norm(xi.imag, axis=1)) if xi.size else 0.0
+    radius = math.sqrt(max(math.log(1.0 / tol), 1.0) / (math.pi * lam_min)) \
+        + im_shift / lam_min + 1.5
+    r = int(math.ceil(radius))
+    nk = np.arange(-r, r + 1)[None, :] + p[:, None]          # (g, K): n_i = k + p_i
+    n = np.stack(np.meshgrid(*nk, indexing="ij"), axis=-1)   # (K,)*g + (g,)
+    coef = np.exp(1j * math.pi * np.einsum("...i,ij,...j->...", n, B, n))
+    e = np.exp(TWO_PI_I * (xi + q).T[:, :, None] * nk[:, None, :])   # (g, M, K)
+    val = _contract(coef, list(e))
+    if order == 0:
+        return val, None, None, None
+    w = TWO_PI_I * nk                                        # d/dxi_i weights
+
+    def weighted(*axes):
+        """The axis factors with e_i times w_i once per occurrence of i."""
+        f = list(e)
+        for i in axes:
+            f[i] = w[i] * f[i]
+        return f
+
+    grad = np.stack([_contract(coef, weighted(i)) for i in range(g)], axis=1)
+    if order == 1:
+        return val, grad, None, None
+    hess = np.empty((M, g, g), dtype=complex)
+    dB = np.empty((M, g, g), dtype=complex)
+    for i in range(g):
+        for j in range(i, g):
+            hess[:, i, j] = hess[:, j, i] = _contract(coef, weighted(i, j))
+            dB_coef = 1j * math.pi * n[..., i] * n[..., j] * coef
+            dB[:, i, j] = dB[:, j, i] = _contract(dB_coef, list(e))
+    return val, grad, hess, dB
+
+
+def _theta_values(char, xi, B, deriv, tol):
+    """theta[p,q] or one of its xi-derivatives over the (M, g) batch xi."""
+    B, lam_min = _check_b(B)
+    g = xi.shape[1]
+    if g != char.genus:
+        raise ValueError("characteristic size does not match xi")
+    if len(deriv) > 2:
+        raise ValueError("derivatives of order <= 2 only")
+    if any(not 0 <= i < g for i in deriv):
+        raise ValueError(f"derivative axes must lie in [0, {g})")
+    xi0, mu, fac = _reduce(char, xi, B)
+    val, grad, hess, _ = _theta_raw(char, xi0, B, lam_min, tol, order=len(deriv))
+    if len(deriv) == 0:
+        return fac * val
+    if len(deriv) == 1:
+        i, = deriv
+        return fac * (grad[:, i] - TWO_PI_I * mu[:, i] * val)
+    i, j = deriv
+    return fac * (hess[:, i, j]
+                  - TWO_PI_I * mu[:, i] * grad[:, j]
+                  - TWO_PI_I * mu[:, j] * grad[:, i]
+                  + (TWO_PI_I ** 2) * mu[:, i] * mu[:, j] * val)
+
+
+def theta(char, xi, B, deriv=(), tol=1e-12):
+    """theta[p,q](xi | B) or a xi-derivative of order <= 2.
+
+    deriv is a tuple of axis indices in [0, g), e.g. () value, (0,)
+    d/dxi_0, (0, 1) d^2/dxi_0 dxi_1.  xi may be a vector (one point) or an
+    (M, g) batch.  The argument is reduced modulo the period lattice and the
+    exact quasi-periodicity factor is restored, so values are exact (not
+    reduced representatives).
+    """
+    xi = np.asarray(xi, dtype=complex)
+    out = _theta_values(char, np.atleast_2d(xi), B, tuple(deriv), tol)
+    return out[0] if xi.ndim <= 1 else out
+
+
+def theta_batch(char, xi, B, tol=1e-12):
+    """Vectorized theta values over an (M, g) batch of arguments: the entry
+    point for quadrature-scale workloads."""
+    xi = np.atleast_2d(np.asarray(xi, dtype=complex))
+    return _theta_values(char, xi, B, (), tol)
 
 
 def theta_gradient0(char, B, tol=1e-12):
@@ -244,9 +251,8 @@ def heat_equation_residual(char, xi, B, tol=1e-13):
     truncation.
     """
     B, lam_min = _check_b(B)
-    xi = np.asarray(xi, dtype=complex)
-    xi0, _, _ = reduce_argument(xi, B)   # residual is shift-invariant
-    _, _, hess, dB = _theta_raw(char, xi0[None, :], B, lam_min, tol)
+    xi0, _, _ = _reduce(char, np.atleast_2d(np.asarray(xi, dtype=complex)), B)
+    _, _, hess, dB = _theta_raw(char, xi0, B, lam_min, tol, order=2)
     lhs = dB[0]
     rhs = hess[0] / (4j * math.pi)
     return float(np.max(np.abs(lhs - rhs)))

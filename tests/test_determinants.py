@@ -47,6 +47,14 @@ def test_t0_diagonal_cross_check(g2_t0):
     assert abs(direct - ref) < combined
 
 
+def test_t0_error_estimate_is_the_delta_swap(g2_t0):
+    s, pd, _, char, _, _ = g2_t0
+    odd = th.odd_characteristics(2)
+    data = det.t_matrix_zero(s, pd, char, delta=odd[0])
+    alt = det.t_matrix_zero(s, pd, char, delta=odd[1], error_estimate=False)
+    swap = float(np.max(np.abs(np.abs(alt.t0) - np.abs(data.t0))))
+    assert data.quadrature_error == pytest.approx(swap, rel=1e-12, abs=0.0)
+
 def test_t0_odd_char_rejected(g2_t0):
     s, pd, *_ = g2_t0
     with pytest.raises(ValueError):

@@ -93,6 +93,19 @@ def test_enriched_pencils_stay_complex(g2_h05):
         assert op.mass.dtype == np.complex128
 
 
+def test_eigenvalues_record_a_clamped_request():
+    s = sf.build_surface(sf.ModuliPoint(genus=1, A=[1.0], B=[1j]))
+    mesh = sf.generate_mesh(s, h=0.25)
+    spin = [x for x in hs.enumerate_spin_structures(1)
+            if x.sigma_a == (-1,) and x.sigma_b == (-1,)][0]
+    op = spec.assemble_operator(mesh, hs.build_sign_lift(mesh, spin),
+                                "friedrichs")
+    res = spec.eigenvalues(op, op.n_dofs + 5)
+    assert res.requested == op.n_dofs + 5
+    assert len(res.eigenvalues) == op.n_dofs - 2
+    res = spec.eigenvalues(op, 4)
+    assert res.requested == len(res.eigenvalues) == 4
+
 def test_torus_spectrum_oracle(torus_setup):
     _, _, _, op = torus_setup
     res = spec.eigenvalues(op, 24)

@@ -145,6 +145,44 @@ def test_batch_matches_scalar():
         assert abs(batch[k] - th.theta(char, xis[k], B)) < 1e-11 * max(1.0, abs(batch[k]))
 
 
+def _cell_edge_and_far_batch(B):
+    """Arguments a + B b: two with a, b in {+-1/2}^g, whose reduced arguments
+    lie on the edge of the period cell, one inside the cell, and one far up
+    the imaginary directions, which needs reduction."""
+    g = len(B)
+    signs = np.where(np.arange(g) % 2 == 0, 1.0, -1.0)
+    rows = [(0.5 * np.ones(g), 0.5 * np.ones(g)),
+            (0.5 * signs, -0.5 * signs),
+            (np.full(g, 0.13), np.full(g, -0.21)),
+            (np.full(g, 0.3), 2.3 * signs)]
+    return np.array([a + B @ b for a, b in rows])
+
+
+def test_batch_against_brute_force_every_characteristic():
+    rng = np.random.default_rng(12)
+    for g in (1, 2, 3):
+        B = random_siegel(g, rng)
+        xis = _cell_edge_and_far_batch(B)
+        # the unreduced sum peaks near n = -Im(B)^-1 Im(xi): the box must reach past it
+        peaks = np.abs(np.linalg.solve(B.imag, xis.imag.T)).max(axis=0)
+        assert th.theta_batch(th.all_characteristics(g)[0],
+                              np.zeros((0, g)), B).shape == (0,)
+        for char in th.all_characteristics(g):
+            batch = th.theta_batch(char, xis, B)
+            for xi, val, peak in zip(xis, batch, peaks):
+                ref = oracles.brute_theta(char.p, char.q, xi, B,
+                                          radius=int(math.ceil(peak)) + 4)
+                assert abs(val - ref) < 1e-12 * max(1.0, abs(ref))
+
+
+def test_derivative_axes_outside_genus_rejected():
+    B = np.array([[1.0j, 0.2], [0.2, 1.5j]])
+    char = th.ThetaCharacteristic((0.5, 0.0), (0.0, 0.5))
+    for deriv in ((-1,), (2,), (0, 2), (-1, 1)):
+        with pytest.raises(ValueError):
+            th.theta(char, np.zeros(2), B, deriv=deriv)
+
+
 # -- heat equation ---------------------------------------------------------------
 
 def test_heat_equation_residual_g1():
