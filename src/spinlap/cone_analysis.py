@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gamma, ive
+from scipy.special import gamma, hyp1f1, ive
 
 
 class ResonanceError(ValueError):
@@ -257,19 +257,6 @@ def cone_trace_constant_numeric(alpha: float, t: float = 1e-3, r_max_factor: flo
 # ---------------------------------------------------------------------------
 # parabolic cylinder function, paper normalization
 
-def _kummer_m(a: float, b: float, x, nmax: int = 400):
-    """Kummer's M(a, b, x) by power series (entire in x)."""
-    x = np.asarray(x, dtype=complex)
-    term = np.ones_like(x)
-    total = np.ones_like(x)
-    for n in range(nmax):
-        term = term * (a + n) / ((b + n) * (n + 1.0)) * x
-        total = total + term
-        if np.all(np.abs(term) < 1e-18 * (1.0 + np.abs(total))):
-            break
-    return total
-
-
 def parabolic_cylinder_Dmhalf(z, switch: float = 6.0):
     """D_{-1/2}(z), normalized so that
 
@@ -285,8 +272,10 @@ def parabolic_cylinder_Dmhalf(z, switch: float = 6.0):
     z = complex(z)
     if abs(z) < switch:
         x = z * z / 2.0
-        t1 = _kummer_m(0.25, 0.5, x) / GAMMA_3_4
-        t2 = -math.sqrt(2.0) * z * _kummer_m(0.75, 1.5, x) / GAMMA_1_4
+        if x.imag == 0.0:
+            x = x.real    # scipy's real hyp1f1 stays accurate at large x
+        t1 = hyp1f1(0.25, 0.5, x) / GAMMA_3_4
+        t2 = -math.sqrt(2.0) * z * hyp1f1(0.75, 1.5, x) / GAMMA_1_4
         d_std = 2.0 ** (-0.25) * math.sqrt(math.pi) * np.exp(-x / 2.0) * (t1 + t2)
     else:
         if abs(np.angle(z)) >= 0.75 * math.pi:

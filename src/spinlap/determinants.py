@@ -40,6 +40,9 @@ class ConsistencyError(RuntimeError):
 
 @dataclass
 class ScatteringData:
+    """T(0) at the cone points, with `quadrature_error`: the spread of
+    t_matrix_zero between two odd reference characteristics, an estimate of
+    the quadrature error and not a bound on it (see t_matrix_zero)."""
     t0: np.ndarray                 # (2g-2, 2g-2)
     quadrature_error: float
     char: object
@@ -127,7 +130,10 @@ def t_matrix_zero(surface, periods, char, delta=None, n_rad=24, n_ang=64,
     error is estimated by re-evaluating with a different odd reference
     characteristic (the result is delta-independent in the continuum; the
     spread measures the prime-form discretization error).  Both evaluations
-    share the quadrature nodes and the theta[p,q] numerators."""
+    share the quadrature nodes and the theta[p,q] numerators.  The estimate
+    is not a bound: where one reference characteristic resolves the prime
+    form poorly it can exceed the entries of T(0) (1.87 for [00|00] on the
+    h = 0.04 mesh of the g = 2 test point)."""
     mesh = periods.mesh
     g = periods.genus
     ncone = len(mesh.cone_patches)
@@ -342,12 +348,12 @@ def _hashable(obj):
 
 
 def determinant_report(moduli, spin, h=0.02, n_eigs=280, richardson=True,
-                       mesh_kwargs=None, cache=None):
+                       cache=None):
     """Full pipeline for one spin structure: mesh(es) -> periods -> F-spectrum
     -> zeta determinant; T(0) quadrature; assembled report.
 
     `cache` (a dict) reuses meshes/periods across spins; its entries are
-    keyed on everything that shapes them (moduli, h, richardson, mesh_kwargs),
+    keyed on everything that shapes them (moduli, h, richardson),
     so one cache can be shared across moduli points and settings.
     """
     from . import surface as sf
@@ -356,16 +362,14 @@ def determinant_report(moduli, spin, h=0.02, n_eigs=280, richardson=True,
     from . import spectral as spec
 
     cache = cache if cache is not None else {}
-    mesh_kwargs = dict(mesh_kwargs or {})
-    key = ("geom", _hashable(moduli.to_dict()), h, bool(richardson),
-           _hashable(mesh_kwargs))
+    key = ("geom", _hashable(moduli.to_dict()), h, bool(richardson))
     if key not in cache:
         surf = sf.build_surface(moduli)
-        mesh = sf.generate_mesh(surf, h=h, **mesh_kwargs)
+        mesh = sf.generate_mesh(surf, h=h)
         periods = hodge.period_matrix(mesh)
         mesh2 = None
         if richardson:
-            mesh2 = sf.generate_mesh(surf, h=1.4 * h, **mesh_kwargs)
+            mesh2 = sf.generate_mesh(surf, h=1.4 * h)
         cache[key] = (surf, mesh, periods, mesh2)
     surf, mesh, periods, mesh2 = cache[key]
 
@@ -390,16 +394,14 @@ def determinant_report(moduli, spin, h=0.02, n_eigs=280, richardson=True,
     return report, t0_data
 
 
-def spin_independence_test(moduli, spins, h=0.02, n_eigs=280, richardson=True,
-                           mesh_kwargs=None):
+def spin_independence_test(moduli, spins, h=0.02, n_eigs=280, richardson=True):
     """Q(p,q) = log det Delta_S - 2 log|theta[pq](0)| across even spins at a
     fixed moduli point and matched mesh; the paper predicts equal values."""
     cache = {}
     reports = []
     for spin in spins:
         rep, _ = determinant_report(moduli, spin, h=h, n_eigs=n_eigs,
-                                    richardson=richardson,
-                                    mesh_kwargs=mesh_kwargs, cache=cache)
+                                    richardson=richardson, cache=cache)
         reports.append(rep)
     qs = [r.q_value for r in reports]
     return {"reports": reports,

@@ -532,7 +532,7 @@ def dual_cycle_integral(periods: PeriodData, i, j, nu):
                           * sign * mesh.edge_vectors()[edge]))
 
 
-def check_dB_dnu(moduli, nu, step=0.02, h=0.05, mesh_kwargs=None):
+def check_dB_dnu(moduli, nu, step=0.02, h=0.05):
     """Relative mismatch between central differences of B and the contour
     integral dB_ij/dnu = oint_{nu^dag} upsilon_i upsilon_j / omega.
 
@@ -540,13 +540,11 @@ def check_dB_dnu(moduli, nu, step=0.02, h=0.05, mesh_kwargs=None):
     relative error, and the antiholomorphic derivative norm |dB/dnubar|.
     """
     from . import surface as sf
-    mesh_kwargs = dict(mesh_kwargs or {})
     frozen = {}
 
     def bmat(m):
         surf = sf.build_surface(m)
-        mesh = sf.generate_mesh(surf, h=h, structure=frozen.get("s"),
-                                **mesh_kwargs)
+        mesh = sf.generate_mesh(surf, h=h, structure=frozen.get("s"))
         frozen.setdefault("s", mesh.structure)
         return period_matrix(mesh)
 

@@ -39,7 +39,7 @@ import scipy.sparse.linalg as spla
 from scipy.special import exp1
 
 from .cone_analysis import pencil_coefficients
-from .surface import patch_triangle_ids
+from .surface import patch_triangle_ids, slit_sign
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -527,7 +527,6 @@ def extract_singular_coefficients(op: DiscreteOperator, u, lam, k,
     mesh = op.mesh
     patch = mesh.cone_patches[k]
     cone = patch.cone
-    eta_slot = _slot_gauge(mesh, op.lift, patch)
     if rings_use is None:
         # fit where the enrichment cutoff is identically 1, so the pure-mode
         # radial model is exact; rings are ordered outermost first
@@ -549,8 +548,11 @@ def extract_singular_coefficients(op: DiscreteOperator, u, lam, k,
     for ring in rings_use:
         slots = patch.ring_slots[ring]
         rho = patch.ring_radii[ring]
+        # gauge sign per slot mapping dof values to the continuous 4 pi rep
+        vids, _, tori = zip(*slots)
+        gauge = slit_sign(mesh, list(vids), list(tori))
         vals = []
-        for (vid, phi, torus), gsl in zip(slots, eta_slot[ring]):
+        for (vid, phi, torus), gsl in zip(slots, gauge):
             dof = int(op.dof_of_vertex[int(vid)])
             val = gsl * (u[dof] if dof >= 0 else 0.0)
             for ent in op.enrichment:
@@ -598,27 +600,6 @@ def extract_singular_coefficients(op: DiscreteOperator, u, lam, k,
         for (m, s), c in zip(mode_pair, sol):
             out[(m, s)] = complex(c)
     out["residual"] = math.sqrt(resid_tot)
-    return out
-
-
-def _slot_gauge(mesh, lift, patch):
-    """Gauge sign per ring slot mapping dof values to the continuous 4 pi rep."""
-    out = []
-    chains = {}
-    for ch in mesh.slit_chains:
-        for v in ch["copy0"]:
-            chains[v] = 0
-        for v in ch["copy1"]:
-            chains[v] = 1
-    sl = mesh.surface.slits[patch.cone.slit_index]
-    for slots in patch.ring_slots:
-        gs = []
-        for vid, phi, torus in slots:
-            g = 1
-            if chains.get(int(vid)) == 0 and torus == sl.torus_b:
-                g = -1
-            gs.append(g)
-        out.append(gs)
     return out
 
 

@@ -28,6 +28,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order, dijkstra
 from scipy.spatial import Delaunay
 
 
@@ -417,7 +419,6 @@ def _sheet_tori(cone: ConePoint, surf: TranslationSurface):
 # mesh generation
 
 def generate_mesh(surf: TranslationSurface, h: float, grading: float = None,
-                  rings: int = None, n_ang: int = None,
                   structure: dict = None) -> SpinMesh:
     """Conforming mesh of the glued surface with graded cone refinement.
 
@@ -444,7 +445,13 @@ def generate_mesh(surf: TranslationSurface, h: float, grading: float = None,
             raise MeshResolutionError("h too large to resolve slit %d" % sl.index)
     if surf.genus == 1:
         return _torus_mesh(surf, h, grading or 0.7, structure)
-    return _glued_mesh(surf, h, grading, rings, n_ang, structure)
+    return _glued_mesh(surf, h, grading, structure)
+
+
+# corner steps (di, dk) of the two triangles of grid cell (i, k), by the
+# parity of i + k (the diagonal alternates)
+_CELL_TRIANGLES = np.array([[[(0, 0), (1, 0), (1, 1)], [(0, 0), (1, 1), (0, 1)]],
+                            [[(0, 0), (1, 0), (0, 1)], [(1, 0), (1, 1), (0, 1)]]])
 
 
 def _torus_mesh(surf, h, grading, structure=None):
@@ -455,55 +462,39 @@ def _torus_mesh(surf, h, grading, structure=None):
     else:
         ns = max(4, round(abs(a) / h))
         nt = max(4, round(abs(b) / h))
-    anchor = surf.anchors[0]
-    idx = lambda i, k: (i % ns) * nt + (k % nt)
-    pos = lambda i, k: anchor + (i / ns) * a + (k / nt) * b
-    verts = np.array([[pos(i, k).real, pos(i, k).imag]
-                      for i in range(ns) for k in range(nt)])
-    tris, tpos, twrap = [], [], []
-
-    def corner_wrap(i, k):
-        return (i // ns if i >= 0 else -((-i + ns - 1) // ns),
-                k // nt if k >= 0 else -((-k + nt - 1) // nt))
-
-    for i in range(ns):
-        for k in range(nt):
-            c = [(i, k), (i + 1, k), (i + 1, k + 1), (i, k + 1)]
-            diag = (i + k) % 2
-            quads = ([c[0], c[1], c[2]], [c[0], c[2], c[3]]) if diag == 0 else \
-                    ([c[0], c[1], c[3]], [c[1], c[2], c[3]])
-            for tri in quads:
-                tris.append([idx(*p) for p in tri])
-                tpos.append([pos(*p) for p in tri])
-                twrap.append([corner_wrap(*p) for p in tri])
+    # grid nodes (i, k), 0 <= i <= ns, 0 <= k <= nt: the vertices and their
+    # unwrapped copies on the far seams
+    i, k = np.meshgrid(np.arange(ns + 1), np.arange(nt + 1), indexing="ij")
+    pos = surf.anchors[0] + (i / ns) * a + (k / nt) * b
+    i, k = i[:ns, :nt], k[:ns, :nt]
+    steps = _CELL_TRIANGLES[(i + k) % 2]                  # (ns, nt, 2, 3, 2)
+    ci = (i[..., None, None] + steps[..., 0]).reshape(-1, 3)
+    ck = (k[..., None, None] + steps[..., 1]).reshape(-1, 3)
+    verts = pos[:ns, :nt].ravel()
     mesh = SpinMesh(surface=surf,
-                    vertices=verts,
+                    vertices=np.column_stack([verts.real, verts.imag]),
                     vertex_chart=np.zeros(len(verts), dtype=int),
-                    triangles=np.array(tris, dtype=int),
-                    tri_chart=np.zeros(len(tris), dtype=int),
-                    tri_pos=np.array(tpos, dtype=complex),
-                    tri_wrap=np.array(twrap, dtype=np.int8),
-                    tri_slit_sign=np.ones((len(tris), 3), dtype=np.int8),
+                    triangles=(ci % ns) * nt + ck % nt,
+                    tri_chart=np.zeros(len(ci), dtype=int),
+                    tri_pos=pos[ci, ck],
+                    tri_wrap=np.stack([ci // ns, ck // nt], axis=-1).astype(np.int8),
+                    tri_slit_sign=np.ones(ci.shape, dtype=np.int8),
                     cone_patches=[], slit_chains=[],
                     h=h, grading=grading)
-    mesh.cycle_paths = _torus_cycle_paths(ns, nt, idx)
+    mesh.cycle_paths = [{"a": np.r_[np.arange(ns) * nt + 1, 1].tolist(),
+                         "b": np.r_[nt + np.arange(nt), nt].tolist()}]
     mesh.structure = {"grid": {0: (ns, nt)}}
     validate_mesh(mesh)
     return mesh
 
 
-def _torus_cycle_paths(ns, nt, idx):
-    a_path = [idx(i, 1) for i in range(ns)] + [idx(0, 1)]
-    b_path = [idx(1, k) for k in range(nt)] + [idx(1, 0)]
-    return [{"a": a_path, "b": b_path}]
-
-
 # -- glued multi-torus mesh ---------------------------------------------------
 
-def _slit_node_params(sl, h, r0, grading, rings, n_mid=None):
-    """Distances from c_start along the slit for the shared node chain."""
+def _slit_node_params(sl, h, radii, n_mid=None):
+    """Distances from c_start along the slit for the shared node chain: the
+    cone-ring radii from either end, evenly spaced nodes between."""
     L = sl.length
-    head = [r0 * grading ** m for m in range(rings)][::-1]   # increasing
+    head = radii[::-1]                                       # increasing
     lo = head[-1]
     mid_lo, mid_hi = lo, L - lo
     if n_mid is None:
@@ -513,18 +504,13 @@ def _slit_node_params(sl, h, r0, grading, rings, n_mid=None):
     return np.array(head + mid + tail), n_mid
 
 
-def _glued_mesh(surf, h, grading, rings, n_ang, structure=None):
+def _glued_mesh(surf, h, grading, structure=None):
     g = surf.genus
     if structure is not None:
-        r0s = dict(structure["r0"])
-        rings = structure["rings"]
-        n_ang = structure["n_ang"]
-        n_mids = dict(structure["n_mid"])
-        grid = dict(structure["grid"])
+        r0s, n_mids, grid = (dict(structure[k]) for k in ("r0", "n_mid", "grid"))
+        rings, n_ang = structure["rings"], structure["n_ang"]
         if grading is None:
-            grading = structure.get("grading",
-                                    float(np.clip(1.0 - h / min(r0s.values()),
-                                                  0.60, 0.82)))
+            grading = structure["grading"]
     else:
         r0s, n_mids, grid = {}, {}, {}
         for sl in surf.slits:
@@ -536,433 +522,359 @@ def _glued_mesh(surf, h, grading, rings, n_ang, structure=None):
         r0_min = min(r0s.values())
         if grading is None:
             grading = float(np.clip(1.0 - h / r0_min, 0.60, 0.82))
-        if rings is None:
-            rings = max(3, int(math.ceil(math.log(0.75 * h / r0_min) / math.log(grading))))
-        if n_ang is None:
-            n_ang = int(np.clip(round(2.0 * math.pi * max(r0s.values()) / h), 12, 48))
+        rings = max(3, int(math.ceil(math.log(0.75 * h / r0_min) / math.log(grading))))
+        n_ang = int(np.clip(round(2.0 * math.pi * max(r0s.values()) / h), 12, 48))
         for j in range(g):
             a, b = surf.tori[j]
             grid[j] = (max(6, 2 * round(abs(a) / (2 * h))),
                        max(6, 2 * round(abs(b) / (2 * h))))
 
+    ring_radii = {s: [r0 * grading ** m for m in range(rings)]
+                  for s, r0 in r0s.items()}
     slit_params = {}
     for sl in surf.slits:
         slit_params[sl.index], n_mids[sl.index] = _slit_node_params(
-            sl, h, r0s[sl.index], grading, rings, n_mids.get(sl.index))
-    kept_sets = {}
+            sl, h, ring_radii[sl.index], n_mids.get(sl.index))
 
-    # per-torus point sets; slit/ring/cone points carry tags for later lookup
-    torus_pts = []           # list of (complex position, tag) per torus
+    torus_pts, kept = [], {}
     for j in range(g):
-        a, b = surf.tori[j]
-        anchor = surf.anchors[j]
-        pts = []
-        local_slits = [sl for sl in surf.slits if j in (sl.torus_a, sl.torus_b)]
+        local = [sl for sl in surf.slits if j in (sl.torus_a, sl.torus_b)]
+        z = _grid_points(surf, j, grid[j])
+        kept[j] = (~_protected(z, local, slit_params, r0s, h, n_ang)
+                   if structure is None else structure["kept"][j])
+        torus_pts.append(_torus_points(surf, local, slit_params, ring_radii,
+                                       n_ang, z[kept[j]]))
 
-        for sl in local_slits:
-            dirn = sl.direction
-            dists = slit_params[sl.index]
-            for m, d in enumerate(dists):
-                pts.append((sl.c_start + d * dirn, ("slit", sl.index, m)))
-            pts.append((sl.c_start, ("cone", _cone_id(surf, sl.index, 0))))
-            pts.append((sl.c_end, ("cone", _cone_id(surf, sl.index, 1))))
-            for end, cen in ((0, sl.c_start), (1, sl.c_end)):
-                cid = _cone_id(surf, sl.index, end)
-                theta = surf.cone_points[cid].theta_ray
-                for m in range(rings):
-                    r = r0s[sl.index] * grading ** m
-                    for i in range(1, n_ang):
-                        ang = theta + 2.0 * math.pi * i / n_ang
-                        pts.append((cen + r * np.exp(1j * ang),
-                                    ("ring", cid, m, i)))
-
-        # structured grid, offset by half a cell, protected near slits/rings.
-        # A deterministic sub-h jitter breaks the cocircular degeneracy of
-        # perfect squares (otherwise the periodic-tiling Delaunay may split
-        # tile copies along different diagonals).
-        ns, ntv = grid[j]
-        rng = np.random.default_rng(90011 + 7 * j)
-        jit = rng.uniform(-0.09, 0.09, size=(ns, ntv, 2))
-        frozen_kept = None if structure is None else structure["kept"][j]
-        kept = []
-        for i in range(ns):
-            for k in range(ntv):
-                z = anchor + ((i + 0.5 + jit[i, k, 0]) / ns) * a \
-                    + ((k + 0.5 + jit[i, k, 1]) / ntv) * b
-                if frozen_kept is not None:
-                    if (i, k) not in frozen_kept:
-                        continue
-                elif _protected(z, local_slits, slit_params, r0s, h, n_ang):
-                    continue
-                kept.append((i, k))
-                pts.append((z, ("grid", i, k)))
-        kept_sets[j] = frozenset(kept)
-        torus_pts.append(pts)
-
-    tris_out = {}
-    mesh = _assemble_glued(surf, torus_pts, slit_params, r0s,
-                           h, grading, rings, n_ang,
-                           frozen_tris=None if structure is None
-                           else structure.get("tris"),
-                           tris_out=tris_out)
+    mesh, tris = _assemble_glued(surf, torus_pts, slit_params, ring_radii, h,
+                                 grading, n_ang,
+                                 None if structure is None else structure["tris"])
     mesh.structure = {"r0": r0s, "rings": rings, "n_ang": n_ang,
-                      "grading": grading,
-                      "n_mid": n_mids, "grid": grid, "kept": kept_sets,
-                      "tris": (structure["tris"] if structure is not None
-                               and "tris" in structure else tris_out)}
+                      "grading": grading, "n_mid": n_mids, "grid": grid,
+                      "kept": kept, "tris": tris}
     return mesh
 
 
-def _cone_id(surf, slit_index, end):
-    for c in surf.cone_points:
-        if c.slit_index == slit_index and c.end == end:
-            return c.index
-    raise KeyError
+def _grid_points(surf, j, shape):
+    """Torus j's structured grid, offset by half a cell.  A deterministic
+    sub-h jitter breaks the cocircular degeneracy of perfect squares
+    (otherwise the periodic-tiling Delaunay may split tile copies along
+    different diagonals)."""
+    a, b = surf.tori[j]
+    ns, nt = shape
+    jit = np.random.default_rng(90011 + 7 * j).uniform(-0.09, 0.09,
+                                                        size=(ns, nt, 2))
+    i, k = np.meshgrid(np.arange(ns), np.arange(nt), indexing="ij")
+    return (surf.anchors[j] + ((i + 0.5 + jit[..., 0]) / ns) * a
+            + ((k + 0.5 + jit[..., 1]) / nt) * b)
 
 
 def _protected(z, slits, slit_params, r0s, h, n_ang):
+    """Mask of the grid points z too close to a slit's node chain or to a
+    cone ring to be kept."""
+    out = np.zeros(z.shape, dtype=bool)
     for sl in slits:
         L = sl.length
         dirn = sl.direction
-        u = ((z - sl.c_start) * np.conj(dirn)).real
-        d_perp = abs(z - sl.c_start - np.clip(u, 0.0, L) * dirn)
+        w = z - sl.c_start
+        u = w.real * dirn.real + w.imag * dirn.imag
+        uc = np.clip(u, 0.0, L)
+        d_perp = np.abs(w - uc * dirn)
         # protection radius near the chain: local spacing along the slit
         dists = slit_params[sl.index]
-        if -2 * h < u < L + 2 * h:
-            i = np.searchsorted(dists, np.clip(u, 0.0, L))
-            lo = dists[max(0, i - 1)]
-            hi = dists[min(len(dists) - 1, i)]
-            spacing = max(hi - lo, 1e-12) if hi > lo else h
-            if d_perp < 0.75 * min(spacing, h):
-                return True
+        i = np.searchsorted(dists, uc)
+        lo = dists[np.maximum(i - 1, 0)]
+        hi = dists[np.minimum(i, len(dists) - 1)]
+        spacing = np.where(hi > lo, np.maximum(hi - lo, 1e-12), h)
+        out |= ((-2 * h < u) & (u < L + 2 * h)
+                & (d_perp < 0.75 * np.minimum(spacing, h)))
+        r0 = r0s[sl.index]
         for cen in (sl.c_start, sl.c_end):
-            r0 = r0s[sl.index]
-            if abs(z - cen) < r0 + 0.7 * min(h, 2 * math.pi * r0 / n_ang):
-                return True
-    return False
+            out |= np.abs(z - cen) < r0 + 0.7 * min(h, 2 * math.pi * r0 / n_ang)
+    return out
 
 
-def _assemble_glued(surf, torus_pts, slit_params, r0s, h, grading, rings, n_ang,
-                    frozen_tris=None, tris_out=None):
-    g = surf.genus
+def _torus_points(surf, slits, slit_params, ring_radii, n_ang, grid_z):
+    """The points of one torus in triangulation order: per incident slit its
+    node chain, its two cone points and their rings (outermost first, angles
+    i = 1 .. n_ang - 1 from the slit ray), then the kept grid points.
 
-    # ----- global vertex allocation
-    verts, vchart = [], []
+    Returns (z, slit, node, cone, rings): the positions; per point the slit
+    and chain node of a slit node and the cone of a cone point, -1 elsewhere;
+    per cone the slice of its ring points.  build_surface numbers the cones
+    of slit s as 2 s (start) and 2 s + 1 (end).
+    """
+    segs, rings, n = [], {}, 0          # segs: (z, slit, node, cone)
+    for sl in slits:
+        s = sl.index
+        chain = sl.c_start + slit_params[s] * sl.direction
+        segs.append((chain, s, np.arange(len(chain)), -1))
+        segs.append((np.array([sl.c_start, sl.c_end]), -1, -1,
+                     np.array([2 * s, 2 * s + 1])))
+        n += len(chain) + 2
+        for cid, cen in ((2 * s, sl.c_start), (2 * s + 1, sl.c_end)):
+            ang = (surf.cone_points[cid].theta_ray
+                   + 2.0 * math.pi * np.arange(1, n_ang) / n_ang)
+            ring = cen + np.array(ring_radii[s])[:, None] * np.exp(1j * ang)
+            segs.append((ring.ravel(), -1, -1, -1))
+            rings[cid] = slice(n, n + ring.size)
+            n += ring.size
+    segs.append((grid_z, -1, -1, -1))
 
-    def new_vertex(z, chart):
-        verts.append([z.real, z.imag])
-        vchart.append(chart)
-        return len(verts) - 1
+    def column(k):
+        return np.concatenate([np.broadcast_to(sg[k], len(sg[0])) for sg in segs])
+    return column(0), column(1), column(2), column(3), rings
 
-    cone_vid = {}
-    for c in surf.cone_points:
-        cone_vid[c.index] = new_vertex(c.position, c.incident_tori[0])
-    # interior slit nodes: two global copies each (crosswise identification)
-    slit_vid = {}            # (slit, m, copy) -> vertex; copy 0: (Ta+)=(Tb-), 1: (Ta-)=(Tb+)
-    for sl in surf.slits:
-        for m, d in enumerate(slit_params[sl.index]):
-            z = sl.c_start + d * sl.direction
-            slit_vid[(sl.index, m, 0)] = new_vertex(z, sl.torus_a)
-            slit_vid[(sl.index, m, 1)] = new_vertex(z, sl.torus_a)
 
-    # ----- per-torus triangulation with 3x3 periodic tiling
-    tris, tchart, tpos, twrap = [], [], [], []
-    local_vid = {}           # (torus, local tag) -> global vertex for regular points
-    for j in range(g):
-        pts = torus_pts[j]
+# tile offsets (di, dk) of the 3 x 3 periodic tiling
+_TILES = [(di, dk) for di in (-1, 0, 1) for dk in (-1, 0, 1)]
+
+
+def _tile_triangles(z, a, b, anchor):
+    """Triangles of the torus points z: the Delaunay triangles of their 3 x 3
+    tiling that have their centroid in the base tile, in Delaunay order and
+    counter-clockwise, as (n, 3) indices t len(z) + i into the tiling (point
+    i in tile t).
+
+    Cocircular points across the tile boundary (ring and slit nodes lie
+    symmetric about their slit) may let two tile copies split a tie
+    differently, so that the kept triangles do not close up; the points are
+    then triangulated again with the ties broken by a fixed shift of 1e-9
+    of the lattice size, the same in every tile, and kept at their places.
+    """
+    tiles = _in_tile_delaunay(z, a, b, anchor)
+    if not _closes_up(tiles, len(z)):
+        shift = np.random.default_rng(7).uniform(-1.0, 1.0, (2, len(z)))
+        tiles = _in_tile_delaunay(
+            z + 1e-9 * min(abs(a), abs(b)) * (shift[0] + 1j * shift[1]),
+            a, b, anchor)
+        if not _closes_up(tiles, len(z)):
+            raise MeshConformityError("the periodic Delaunay triangles of a "
+                                      "torus do not close up")
+    return tiles
+
+
+def _in_tile_delaunay(z, a, b, anchor):
+    tiled = np.concatenate([z + di * a + dk * b for di, dk in _TILES])
+    simplices = Delaunay(np.column_stack([tiled.real, tiled.imag])).simplices
+    Minv = np.linalg.inv(np.array([[a.real, b.real], [a.imag, b.imag]]))
+    corner_pos = tiled[simplices]                        # (S, 3)
+    zc = corner_pos.mean(axis=1)
+    x, y = zc.real - anchor.real, zc.imag - anchor.imag
+    # written out: a matrix product may fuse multiply-adds, which moves
+    # centroids on the tile boundary across it
+    u = Minv[0, 0] * x + Minv[0, 1] * y
+    v = Minv[1, 0] * x + Minv[1, 1] * y
+    inside = (0.0 <= u) & (u < 1.0) & (0.0 <= v) & (v < 1.0)
+    d1 = corner_pos[:, 1] - corner_pos[:, 0]
+    d2 = corner_pos[:, 2] - corner_pos[:, 0]
+    ccw = d1.real * d2.imag - d1.imag * d2.real > 0
+    return np.where(ccw[:, None], simplices, simplices[:, [0, 2, 1]])[inside]
+
+
+def _closes_up(tiles, n):
+    """Whether the triangles (tiling indices over n points) triangulate the
+    torus: 2 n of them, and each side i -> k with tile step d meets exactly
+    one side k -> i with step -d."""
+    i, off = tiles % n, np.array(_TILES)[tiles // n]
+    k, step = np.roll(i, -1, axis=1), np.roll(off, -1, axis=1) - off
+
+    def key(tail, head, d):
+        return ((tail * n + head) * 5 + d[..., 0] + 2) * 5 + d[..., 1] + 2
+    sides = np.sort(key(i, k, step), axis=None)
+    partners = np.sort(key(k, i, -step), axis=None)
+    return (len(tiles) == 2 * n and np.array_equal(sides, partners)
+            and np.all(sides[1:] != sides[:-1]))
+
+
+def _assemble_glued(surf, torus_pts, slit_params, ring_radii, h, grading, n_ang,
+                    frozen_tris=None):
+    """Glue the per-torus triangulations into one mesh.
+
+    Vertex ids: the cone points first, then both copies of every slit node
+    (slit by slit, node by node; copy 0 is (Ta+) = (Tb-), copy 1 is (Ta-) =
+    (Tb+)), then the other points of each torus in point order.  A slit-node
+    corner takes the copy on the side of its triangle.  Returns the mesh and
+    the per-torus triangles as tiling indices (see _tile_triangles).
+    """
+    cones, slits = surf.cone_points, surf.slits
+    chains = [sl.c_start + slit_params[sl.index] * sl.direction for sl in slits]
+    chain_vid = len(cones) + 2 * np.cumsum([0] + [len(c) for c in chains])
+    torus_a = np.array([sl.torus_a for sl in slits])
+    dirn = np.array([sl.direction for sl in slits])
+    verts = [np.array([c.position for c in cones])] + [np.repeat(c, 2) for c in chains]
+    vchart = ([np.array([c.incident_tori[0] for c in cones])]
+              + [np.full(2 * len(c), sl.torus_a) for c, sl in zip(chains, slits)])
+    next_id = chain_vid[-1]
+    tris, tchart, tpos, twrap, tiles, ring_vid = [], [], [], [], {}, {}
+    for j, (z, slit, node, cone, rings) in enumerate(torus_pts):
         a, b = surf.tori[j]
-        base = np.array([z for z, _ in pts])
-        tags = [tag for _, tag in pts]
-        npts = len(base)
+        regular = (slit < 0) & (cone < 0)
+        n_reg = np.count_nonzero(regular)
+        gid = cone.copy()                     # cone ids are their vertex ids
+        gid[regular] = next_id + np.arange(n_reg)
+        next_id += n_reg
+        verts.append(z[regular])
+        vchart.append(np.full(n_reg, j))
+        for cid, span in rings.items():
+            ring_vid[(j, cid)] = gid[span].reshape(-1, n_ang - 1)
 
-        gids = np.empty(npts, dtype=int)
-        for i, tag in enumerate(tags):
-            if tag[0] == "cone":
-                gids[i] = cone_vid[tag[1]]
-            elif tag[0] == "slit":
-                gids[i] = -1           # resolved per triangle by slit side
-            else:
-                gids[i] = new_vertex(base[i], j)
-                local_vid[(j, tag)] = gids[i]
+        tiles[j] = (_tile_triangles(z, a, b, surf.anchors[j])
+                    if frozen_tris is None else frozen_tris[j])
+        li = tiles[j] % len(z)
+        off = np.array(_TILES)[tiles[j] // len(z)]            # (n, 3, 2)
+        pos = z[li] + off[..., 0] * a + off[..., 1] * b
+        # a slit node's copy: the side of the slit the triangle's centroid
+        # lies on, compared in the node's own tile
+        s = slit[li]
+        w = pos.mean(axis=1)[:, None] - (pos - z[li]) - z[li]
+        side = dirn[s].real * w.imag - dirn[s].imag * w.real
+        copy = np.where((side > 0) == (torus_a[s] == j), 0, 1)
+        tris.append(np.where(s >= 0, chain_vid[s] + 2 * node[li] + copy, gid[li]))
+        tchart.append(np.full(len(li), j))
+        tpos.append(pos)
+        twrap.append(off)
 
-        offsets = [(di, dk) for di in (-1, 0, 1) for dk in (-1, 0, 1)]
-        if frozen_tris is None:
-            tiled = np.concatenate([base + di * a + dk * b for di, dk in offsets])
-            xy = np.column_stack([tiled.real, tiled.imag])
-            dt = Delaunay(xy)
-            M = np.array([[a.real, b.real], [a.imag, b.imag]])
-            Minv = np.linalg.inv(M)
-            anchor = surf.anchors[j]
-            # keep the simplices whose centroid lies in the base tile, in
-            # Delaunay order, oriented counter-clockwise
-            simplices = dt.simplices
-            corner_pos = tiled[simplices]                        # (S, 3)
-            zc = corner_pos.mean(axis=1)
-            x, y = zc.real - anchor.real, zc.imag - anchor.imag
-            # written out: a matrix product may fuse multiply-adds, which
-            # moves centroids on the tile boundary across it
-            u = Minv[0, 0] * x + Minv[0, 1] * y
-            v = Minv[1, 0] * x + Minv[1, 1] * y
-            inside = (0.0 <= u) & (u < 1.0) & (0.0 <= v) & (v < 1.0)
-            d1 = corner_pos[:, 1] - corner_pos[:, 0]
-            d2 = corner_pos[:, 2] - corner_pos[:, 0]
-            ccw = d1.real * d2.imag - d1.imag * d2.real > 0
-            in_tile = np.where(ccw[:, None], simplices, simplices[:, [0, 2, 1]])[inside]
-            combi = [tuple((c % npts, offsets[c // npts]) for c in row)
-                     for row in in_tile.tolist()]
-        else:
-            combi = frozen_tris[j]
-        if tris_out is not None:
-            tris_out[j] = combi
-
-        for corners in combi:
-            corner_pos = np.array([base[li] + di * a + dk * b
-                                   for li, (di, dk) in corners])
-            centroid = corner_pos.mean()
-            ids = []
-            for (li, (di, dk)), zpos in zip(corners, corner_pos):
-                tag = tags[li]
-                if tag[0] == "slit":
-                    sl = surf.slits[tag[1]]
-                    node = sl.c_start + slit_params[tag[1]][tag[2]] * sl.direction
-                    # triangles live in the tiled plane; compare in-tile
-                    tile_shift = zpos - base[li]
-                    side = (np.conj(sl.direction) * (centroid - tile_shift - node)).imag
-                    copy = 0 if ((side > 0) == (j == sl.torus_a)) else 1
-                    ids.append(slit_vid[(tag[1], tag[2], copy)])
-                else:
-                    ids.append(int(gids[li]))
-            tris.append(ids)
-            tchart.append(j)
-            tpos.append(list(corner_pos))
-            twrap.append([off for _, off in corners])
-
-    tris = np.array(tris, dtype=int)
-    if tris.min() < 0:
-        raise MeshConformityError("unresolved slit vertex in triangulation")
-
-    # slit-gluing dof signs: a torus_b corner using a copy-0 vertex flips sign
-    slit_of_v, copy_of_v = {}, {}
-    for (s, m, c), vid in slit_vid.items():
-        slit_of_v[vid] = s
-        copy_of_v[vid] = c
-    tslit = np.ones(tris.shape, dtype=np.int8)
-    for t in range(len(tris)):
-        j = tchart[t]
-        for c in range(3):
-            v = int(tris[t, c])
-            if copy_of_v.get(v) == 0 and j == surf.slits[slit_of_v[v]].torus_b:
-                tslit[t, c] = -1
-
+    verts = np.concatenate(verts)
+    slit_chains = [{"slit": s, "copy0": list(range(lo, hi, 2)),
+                    "copy1": list(range(lo + 1, hi, 2))}
+                   for s, (lo, hi) in enumerate(zip(chain_vid[:-1], chain_vid[1:]))]
     mesh = SpinMesh(surface=surf,
-                    vertices=np.array(verts),
-                    vertex_chart=np.array(vchart, dtype=int),
-                    triangles=tris,
-                    tri_chart=np.array(tchart, dtype=int),
-                    tri_pos=np.array(tpos, dtype=complex),
-                    tri_wrap=np.array(twrap, dtype=np.int8),
-                    tri_slit_sign=tslit,
-                    cone_patches=[], slit_chains=[],
+                    vertices=np.column_stack([verts.real, verts.imag]),
+                    vertex_chart=np.concatenate(vchart),
+                    triangles=np.concatenate(tris),
+                    tri_chart=np.concatenate(tchart),
+                    tri_pos=np.concatenate(tpos),
+                    tri_wrap=np.concatenate(twrap).astype(np.int8),
+                    tri_slit_sign=None, cone_patches=[], slit_chains=slit_chains,
                     h=h, grading=grading)
-    mesh.cone_patches = _build_cone_patches(surf, mesh, local_vid, slit_vid,
-                                            slit_params, r0s, rings, n_ang, cone_vid)
-    mesh.slit_chains = _build_slit_chains(surf, slit_vid, slit_params)
-    mesh.cycle_paths = _find_cycle_paths(surf, mesh, local_vid)
+    mesh.tri_slit_sign = slit_sign(mesh, mesh.triangles, mesh.tri_chart[:, None])
+    mesh.cone_patches = _build_cone_patches(surf, ring_vid, slit_chains,
+                                            ring_radii, n_ang)
+    mesh.cycle_paths = []
+    for j in range(surf.genus):
+        paths = {w: find_torus_cycle(mesh, j, w) for w in ("a", "b")}
+        for w, path in paths.items():
+            if path is None:
+                raise MeshResolutionError(
+                    "no %s-cycle of torus %d clears its slits and cone patches "
+                    "at h = %g" % (w, j, h))
+        mesh.cycle_paths.append(paths)
     validate_mesh(mesh)
-    return mesh
+    return mesh, tiles
 
 
-def _build_slit_chains(surf, slit_vid, slit_params):
-    chains = []
-    for sl in surf.slits:
-        n = len(slit_params[sl.index])
-        chains.append({
-            "slit": sl.index,
-            "copy0": [slit_vid[(sl.index, m, 0)] for m in range(n)],
-            "copy1": [slit_vid[(sl.index, m, 1)] for m in range(n)],
-        })
-    return chains
+def slit_sign(mesh: SpinMesh, vertices, charts):
+    """Slit-gluing sign of the vertex dofs `vertices` seen from the charts
+    `charts` (broadcast together): -1 where a copy-0 slit node is seen from
+    its slit's torus_b, +1 elsewhere."""
+    flip_chart = np.full(mesh.n_vertices, -1)
+    for ch in mesh.slit_chains:
+        flip_chart[ch["copy0"]] = mesh.surface.slits[ch["slit"]].torus_b
+    return np.where(flip_chart[vertices] == charts, -1, 1).astype(np.int8)
 
 
-def _build_cone_patches(surf, mesh, local_vid, slit_vid, slit_params,
-                        r0s, rings, n_ang, cone_vid):
+def _build_cone_patches(surf, ring_vid, slit_chains, ring_radii, n_ang):
     patches = []
     for cone in surf.cone_points:
-        sl = surf.slits[cone.slit_index]
-        r0 = r0s[sl.index]
+        s = cone.slit_index
+        chain = slit_chains[s]
         sheet0, sheet1 = _sheet_tori(cone, surf)
-        dists = slit_params[sl.index]
-        nchain = len(dists)
-        radii, slots_all = [], []
+        rings = len(ring_radii[s])
+        slots_all = []
         for m in range(rings):
-            r = r0 * (mesh.grading ** m)
-            radii.append(r)
-            # slit-node index at distance r from this endpoint
-            if cone.end == 0:
-                chain_m = rings - 1 - m
-            else:
-                chain_m = nchain - rings + m
-            w1 = slit_vid[(sl.index, chain_m, 0)]
-            w2 = slit_vid[(sl.index, chain_m, 1)]
-            slots = [(w1, 0.0, sheet0)]
-            for i in range(1, n_ang):
-                v = local_vid[(sheet0, ("ring", cone.index, m, i))]
-                slots.append((v, 2.0 * math.pi * i / n_ang, sheet0))
-            slots.append((w2, 2.0 * math.pi, sheet1))
-            for i in range(1, n_ang):
-                v = local_vid[(sheet1, ("ring", cone.index, m, i))]
-                slots.append((v, 2.0 * math.pi * (1.0 + i / n_ang), sheet1))
+            # the slit node at distance ring_radii[s][m] from this endpoint
+            node = rings - 1 - m if cone.end == 0 else len(chain["copy0"]) - rings + m
+            slots = [(chain["copy0"][node], 0.0, sheet0)]
+            slots += [(v, 2.0 * math.pi * i / n_ang, sheet0) for i, v in
+                      enumerate(ring_vid[(sheet0, cone.index)][m].tolist(), 1)]
+            slots.append((chain["copy1"][node], 2.0 * math.pi, sheet1))
+            slots += [(v, 2.0 * math.pi * (1.0 + i / n_ang), sheet1) for i, v in
+                      enumerate(ring_vid[(sheet1, cone.index)][m].tolist(), 1)]
             slots_all.append(slots)
-        patches.append(ConePatch(cone=cone, center_vertex=cone_vid[cone.index],
+        patches.append(ConePatch(cone=cone, center_vertex=cone.index,
                                  sheet_tori=(sheet0, sheet1),
-                                 ring_radii=radii, ring_slots=slots_all,
-                                 n_ang=n_ang))
+                                 ring_radii=list(ring_radii[s]),
+                                 ring_slots=slots_all, n_ang=n_ang))
     return patches
 
 
-def _torus_graph_data(mesh):
-    """Per-torus regular-zone vertex graph with seam-wrap edge labels."""
-    from collections import defaultdict
-    if getattr(mesh, "_torus_graph", None) is not None:
-        return mesh._torus_graph
-    edges_by_torus = defaultdict(set)
-    wrap_of_edge = {}
-    slitish = set()
-    for p in mesh.cone_patches:
-        slitish.add(p.center_vertex)
-        for slots in p.ring_slots:
-            slitish.update(v for v, _, _ in slots)
-    for ch in mesh.slit_chains:
-        slitish.update(ch["copy0"])
-        slitish.update(ch["copy1"])
-    for t in range(mesh.n_triangles):
-        j = int(mesh.tri_chart[t])
-        tri = mesh.triangles[t]
-        for c in range(3):
-            u, v = int(tri[c]), int(tri[(c + 1) % 3])
-            du = mesh.tri_wrap[t, (c + 1) % 3] - mesh.tri_wrap[t, c]
-            edges_by_torus[j].add((u, v))
-            wrap_of_edge[(u, v)] = (int(du[0]), int(du[1]))
-            wrap_of_edge[(v, u)] = (-int(du[0]), -int(du[1]))
-    mesh._torus_graph = (edges_by_torus, wrap_of_edge, slitish)
-    return mesh._torus_graph
+def _patch_vertices(mesh):
+    """The cone vertices and the vertices of their rings."""
+    return np.array([p.center_vertex for p in mesh.cone_patches]
+                    + [v for p in mesh.cone_patches for slots in p.ring_slots
+                       for v, _, _ in slots], dtype=int)
 
 
-def find_torus_cycle(mesh, torus, which, allowed=None, vertex_cost=None):
+def find_torus_cycle(mesh, torus, which, vertex_cost=None):
     """Vertex cycle homologous to a_j ('a') or b_j ('b') in torus j, staying
-    in the regular zone.  `allowed` optionally masks vertices; `vertex_cost`
-    (array) switches to a Dijkstra search minimizing the summed cost, e.g. to
-    route the cycle away from zeros of some field."""
-    from collections import defaultdict
-    edges_by_torus, wrap_of_edge, slitish = _torus_graph_data(mesh)
-    adj = defaultdict(list)
-    for (u, v) in edges_by_torus[torus]:
-        if u in slitish or v in slitish:
-            continue
-        if allowed is not None and not (allowed[u] and allowed[v]):
-            continue
-        adj[u].append(v)
-    if not adj:
+    in the regular zone (off the cone patches and slit chains).
+
+    The torus's regular edges, lifted to the 3 x 3 cover by the lattice wrap
+    along them, form a graph in which the cycle is a path from a seed vertex
+    to its copy shifted by A_j or B_j: the first one breadth-first search
+    reaches, or, given `vertex_cost` (array), the one of least summed cost
+    of the vertices it enters (Dijkstra), e.g. to route the cycle away from
+    zeros of some field.  Returns None when the torus has no regular edge.
+    """
+    table = mesh.edge_table
+    t, c = np.divmod(table.slots[:, 0], 3)
+    # lattice wrap from edges[:, 0] to edges[:, 1], off the edge's first side
+    wrap = ((mesh.tri_wrap[t, (c + 1) % 3].astype(int) - mesh.tri_wrap[t, c])
+            * table.sign[t, c][:, None])
+    singular = np.zeros(mesh.n_vertices, dtype=bool)
+    singular[_patch_vertices(mesh)] = True
+    for ch in mesh.slit_chains:
+        singular[ch["copy0"] + ch["copy1"]] = True
+    u, v = table.edges.T
+    keep = (mesh.tri_chart[t] == torus) & ~singular[u] & ~singular[v]
+    if not np.any(keep):
         return None
+    u, v, wrap = u[keep], v[keep], wrap[keep]
+
+    # cover node (x, s, t) for the shift (s, t) in {-1, 0, 1}^2
+    nv = mesh.n_vertices
+
+    def node(x, st):
+        return (3 * (st[..., 0] + 1) + st[..., 1] + 1) * nv + x
+
+    shift = np.array(_TILES)[:, None, :]                 # (9, 1, 2)
+    to = shift + wrap                                    # (9, E, 2)
+    ok = np.all(np.abs(to) <= 1, axis=-1)
+    tails = node(np.broadcast_to(u, ok.shape), shift)[ok]
+    heads = node(np.broadcast_to(v, ok.shape), to)[ok]
+    vertices = np.union1d(u, v)
+    seed = (vertices[0] if vertex_cost is None
+            else vertices[np.argmin(vertex_cost[vertices])])
+    start = node(seed, np.zeros(2, dtype=int))
+    target = node(seed, np.array([1, 0] if which == "a" else [0, 1]))
     if vertex_cost is None:
-        seed = next(iter(sorted(adj)))
-        return _lifted_cycle(adj, wrap_of_edge, seed, 0 if which == "a" else 1)
-    seeds = sorted(adj, key=lambda v: vertex_cost[v])[:1]
-    return _lifted_cycle_dijkstra(adj, wrap_of_edge, seeds[0],
-                                  0 if which == "a" else 1, vertex_cost)
-
-
-def _lifted_cycle_dijkstra(adj, wrap_of_edge, seed, axis, cost):
-    import heapq
-    start = (seed, 0, 0)
-    target = (seed, 1, 0) if axis == 0 else (seed, 0, 1)
-    dist = {start: 0.0}
-    prev = {start: None}
-    heap = [(0.0, start)]
-    while heap:
-        d, node = heapq.heappop(heap)
-        if node == target:
-            path = []
-            while node is not None:
-                path.append(node[0])
-                node = prev[node]
-            return path[::-1]
-        if d > dist.get(node, math.inf):
-            continue
-        u, ws, wt = node
-        for v in adj[u]:
-            dw = wrap_of_edge[(u, v)]
-            nxt = (v, ws + dw[0], wt + dw[1])
-            if abs(nxt[1]) > 1 or abs(nxt[2]) > 1:
-                continue
-            nd = d + cost[v]
-            if nd < dist.get(nxt, math.inf):
-                dist[nxt] = nd
-                prev[nxt] = node
-                heapq.heappush(heap, (nd, nxt))
-    return None
-
-
-def _find_cycle_paths(surf, mesh, local_vid):
-    """Default a/b vertex cycles per torus."""
-    paths = []
-    for j in range(surf.genus):
-        res = {}
-        for name in ("a", "b"):
-            res[name] = find_torus_cycle(mesh, j, name)
-            if res[name] is None:
-                raise MeshConformityError("no %s-cycle found in torus %d" % (name, j))
-        paths.append(res)
-    return paths
-
-
-def _lifted_cycle(adj, wrap_of_edge, seed, axis):
-    """BFS in the Z-cover: find a path seed -> seed with net wrap +1 along
-    `axis` and 0 along the other axis."""
-    from collections import deque
-    start = (seed, 0, 0)
-    prev = {start: None}
-    dq = deque([start])
-    target = (seed, 1, 0) if axis == 0 else (seed, 0, 1)
-    while dq:
-        node = dq.popleft()
-        if node == target:
-            path = []
-            while node is not None:
-                path.append(node[0])
-                node = prev[node]
-            return path[::-1]
-        u, ws, wt = node
-        for v in adj[u]:
-            dw = wrap_of_edge[(u, v)]
-            nxt = (v, ws + dw[0], wt + dw[1])
-            if abs(nxt[1]) > 1 or abs(nxt[2]) > 1 or nxt in prev:
-                continue
-            prev[nxt] = node
-            dq.append(nxt)
-    return None
+        graph = csr_matrix((np.ones(len(tails)), (tails, heads)),
+                           shape=(9 * nv, 9 * nv))
+        _, pred = breadth_first_order(graph, start, directed=False,
+                                      return_predecessors=True)
+    else:
+        rows, cols = np.r_[tails, heads], np.r_[heads, tails]
+        graph = csr_matrix((vertex_cost[cols % nv], (rows, cols)),
+                           shape=(9 * nv, 9 * nv))
+        _, pred = dijkstra(graph, indices=start, return_predecessors=True)
+    path = [target]
+    while path[-1] >= 0 and path[-1] != start:
+        path.append(pred[path[-1]])
+    if path[-1] < 0:
+        return None
+    return (np.array(path[::-1]) % nv).tolist()
 
 
 # ---------------------------------------------------------------------------
 # validation
 
-def validate_mesh(mesh: SpinMesh, min_angle_deg: float = 20.0):
+def validate_mesh(mesh: SpinMesh):
     """Structural checks: conformity, Euler characteristic, positive areas,
     4*pi cone angles, triangle quality away from cone patches."""
-    from collections import Counter
-    tris = mesh.triangles
-    edge_count = Counter()
-    for t in range(len(tris)):
-        for c in range(3):
-            u, v = int(tris[t, c]), int(tris[t, (c + 1) % 3])
-            edge_count[(min(u, v), max(u, v))] += 1
-    bad = [e for e, n in edge_count.items() if n != 2]
-    if bad:
-        raise MeshConformityError("%d non-conforming edges, e.g. %s"
-                                  % (len(bad), bad[:3]))
-    nv = mesh.n_vertices
-    ne = len(edge_count)
-    nf = mesh.n_triangles
+    table = mesh.edge_table      # raises unless every edge has two sides
+    if np.any(np.bincount(table.index.ravel(), weights=table.sign.ravel())):
+        raise MeshConformityError("the two sides of an edge run the same way")
+    nv, ne, nf = mesh.n_vertices, len(table.edges), mesh.n_triangles
     chi = nv - ne + nf
     if chi != 2 - 2 * mesh.genus:
         raise MeshConformityError("Euler characteristic %d != %d"
@@ -970,45 +882,25 @@ def validate_mesh(mesh: SpinMesh, min_angle_deg: float = 20.0):
     if np.any(mesh.signed_areas() <= 0):
         raise MeshConformityError("non-ccw or degenerate triangle")
 
+    p = mesh.tri_pos
+    angles = np.abs(np.angle((np.roll(p, -2, axis=1) - p)
+                             / (np.roll(p, -1, axis=1) - p)))   # at corner c
+    angle_sums = np.bincount(mesh.triangles.ravel(), weights=angles.ravel(),
+                             minlength=nv)
     for patch in mesh.cone_patches:
-        total = _angle_sum_at(mesh, patch.center_vertex)
+        total = angle_sums[patch.center_vertex]
         if abs(total - 4.0 * math.pi) > 1e-10:
             raise MeshConformityError("cone angle %.12f != 4 pi" % total)
 
     # quality away from cone patches
-    in_patch = set()
-    for p in mesh.cone_patches:
-        in_patch.add(p.center_vertex)
-        for slots in p.ring_slots:
-            in_patch.update(v for v, _, _ in slots)
-    min_angle = math.inf
-    for t in range(mesh.n_triangles):
-        if any(int(v) in in_patch for v in mesh.triangles[t]):
-            continue
-        p = mesh.tri_pos[t]
-        for c in range(3):
-            u = p[(c + 1) % 3] - p[c]
-            w = p[(c + 2) % 3] - p[c]
-            ang = abs(np.angle(w / u))
-            min_angle = min(min_angle, ang)
-    if min_angle < math.radians(min_angle_deg) * 0.75:
+    bulk = ~np.any(np.isin(mesh.triangles, _patch_vertices(mesh)), axis=1)
+    min_angle = angles[bulk].min(initial=math.inf)
+    if min_angle < math.radians(15.0):
         raise MeshConformityError("bulk min angle %.2f deg below threshold"
                                   % math.degrees(min_angle))
-    return {"min_bulk_angle_deg": math.degrees(min_angle) if min_angle < math.inf else 60.0,
+    return {"min_bulk_angle_deg": (math.degrees(min_angle)
+                                   if min_angle < math.inf else 60.0),
             "n_vertices": nv, "n_edges": ne, "n_triangles": nf}
-
-
-def _angle_sum_at(mesh, vertex):
-    total = 0.0
-    for t in range(mesh.n_triangles):
-        tri = mesh.triangles[t]
-        for c in range(3):
-            if int(tri[c]) == vertex:
-                p = mesh.tri_pos[t]
-                u = p[(c + 1) % 3] - p[c]
-                w = p[(c + 2) % 3] - p[c]
-                total += abs(np.angle(w / u))
-    return total
 
 
 def patch_triangle_ids(mesh: SpinMesh, k: int, radius: float):

@@ -245,10 +245,11 @@ def theta_gradient0(char, B, tol=1e-12):
 def heat_equation_residual(char, xi, B, tol=1e-13):
     """max_ij | dtheta/dB_ij - (1/(4 pi i)) d^2 theta / dxi_i dxi_j |.
 
-    Both sides are term-wise derivatives of the lattice sum; B_ij and B_ji are
-    treated as independent entries (no off-diagonal symmetry factor), the
-    convention in which the identity holds exactly and the residual is pure
-    truncation.
+    Both sides are term-wise derivatives of the same truncated lattice sum;
+    B_ij and B_ji are treated as independent entries (no off-diagonal
+    symmetry factor), the convention in which the identity holds term by
+    term.  The residual is therefore rounding only: it cannot see a
+    truncation or reduction error (tests difference `theta` in B for that).
     """
     B, lam_min = _check_b(B)
     xi0, _, _ = _reduce(char, np.atleast_2d(np.asarray(xi, dtype=complex)), B)

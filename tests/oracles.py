@@ -269,3 +269,17 @@ def bfs_tree(triangles, n_vertices, root=0):
                 order.append(v)
                 queue.append(v)
     return order, parent
+
+
+def corner_angle_sums(triangles, tri_pos, n_vertices):
+    """Sum of the interior triangle angles at each vertex, one corner at a
+    time as atan2(|cross|, dot) of the two sides leaving it."""
+    sums = np.zeros(n_vertices)
+    for tri, pos in zip(triangles, tri_pos):
+        for c in range(3):
+            u = pos[(c + 1) % 3] - pos[c]
+            w = pos[(c + 2) % 3] - pos[c]
+            cross = u.real * w.imag - u.imag * w.real
+            dot = u.real * w.real + u.imag * w.imag
+            sums[int(tri[c])] += math.atan2(abs(cross), dot)
+    return sums

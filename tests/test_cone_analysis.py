@@ -230,6 +230,17 @@ def test_dmhalf_against_scipy_scaled():
         assert abs(val - ref) < 2e-10 * max(1.0, abs(ref)), z
 
 
+def test_dmhalf_complex_series_against_mpmath():
+    # the power-series branch (|z| < 6) at complex z, around the whole circle
+    mpmath = pytest.importorskip("mpmath")
+    for r in (0.5, 1.5, 2.5, 3.5, 4.0):
+        for ang in np.linspace(-math.pi, math.pi, 16, endpoint=False):
+            z = r * complex(math.cos(ang), math.sin(ang))
+            ref = complex(mpmath.pi * mpmath.pcfd(-0.5, mpmath.mpc(z.real, z.imag)))
+            val = ca.parabolic_cylinder_Dmhalf(z)
+            assert abs(val - ref) < 1e-10 * abs(ref), z
+
+
 def test_dmhalf_branch_consistency():
     # series and asymptotic branches evaluated at the same points
     for z in (5.0, 5.9, 6.5):

@@ -1,9 +1,11 @@
 """Surface construction and meshing tests."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinlap import surface as sf
 
@@ -168,9 +170,47 @@ def test_edge_table_sides(g2_mesh):
 
 
 def test_cone_angle_4pi(g2_mesh):
-    for patch in g2_mesh.cone_patches:
-        total = sf._angle_sum_at(g2_mesh, patch.center_vertex)
-        assert abs(total - 4 * math.pi) < 1e-10
+    sums = oracles.corner_angle_sums(g2_mesh.triangles, g2_mesh.tri_pos,
+                                     g2_mesh.n_vertices)
+    cones = g2_mesh.cone_vertex_ids()
+    assert np.all(np.abs(sums[cones] - 4 * math.pi) < 1e-10)
+    # every other vertex is flat
+    assert np.all(np.abs(np.delete(sums, cones) - 2 * math.pi) < 1e-10)
+
+
+# -- validate_mesh rejects mesh copies with one defect each
+
+def _triangle_arrays(mesh):
+    return {k: getattr(mesh, k).copy() for k in
+            ("triangles", "tri_chart", "tri_pos", "tri_wrap", "tri_slit_sign")}
+
+
+def test_validate_rejects_a_removed_triangle(g2_mesh):
+    arrays = {k: v[1:] for k, v in _triangle_arrays(g2_mesh).items()}
+    with pytest.raises(sf.MeshConformityError, match="exactly two"):
+        sf.validate_mesh(dataclasses.replace(g2_mesh, **arrays))
+
+
+def test_validate_rejects_a_reversed_triangle(g2_mesh):
+    arrays = _triangle_arrays(g2_mesh)
+    for v in arrays.values():
+        if v.ndim > 1:
+            v[7] = v[7, [0, 2, 1]]
+    with pytest.raises(sf.MeshConformityError, match="same way"):
+        sf.validate_mesh(dataclasses.replace(g2_mesh, **arrays))
+
+
+def test_validate_rejects_a_moved_cone_corner(g2_mesh):
+    arrays = _triangle_arrays(g2_mesh)
+    pos = arrays["tri_pos"]
+    t, c = np.argwhere(arrays["triangles"] == g2_mesh.cone_vertex_ids()[0])[0]
+    # a tenth of the way to the centroid: still counter-clockwise, but the
+    # triangle's angle at the cone grows
+    pos[t, c] += 0.1 * (pos[t].mean() - pos[t, c])
+    bad = dataclasses.replace(g2_mesh, **arrays)
+    assert np.all(bad.signed_areas() > 0)
+    with pytest.raises(sf.MeshConformityError, match="cone angle"):
+        sf.validate_mesh(bad)
 
 
 def test_cycle_periods_reproduce_moduli(g2_mesh):
@@ -230,3 +270,67 @@ def test_genus3_build_and_mesh():
     for j in range(3):
         pa = sf.cycle_period(mesh, mesh.cycle_paths[j]["a"])
         assert abs(pa - m3.A[j]) < 1e-12
+
+
+def test_slit_across_a_torus_raises_resolution_error():
+    # torus 1 is 0.875 wide; the slit (0.5) and its two cone patches (0.15
+    # each) leave no regular vertex column for a b-cycle.  The two patches
+    # also meet across the seam, where their ring nodes are cocircular.
+    m = sf.ModuliPoint(genus=2, A=[1.0, 0.875], B=[1j, 0.875j], C=[0.0, 0.5])
+    with pytest.raises(sf.MeshResolutionError, match="b-cycle of torus 1"):
+        sf.generate_mesh(sf.build_surface(m), h=0.06)
+
+
+def test_tied_periodic_delaunay_still_meshes():
+    # the tile copies of torus 1 split a tie among cocircular points
+    # differently, so the triangles kept from them do not close up until the
+    # ties are broken
+    m = sf.ModuliPoint(genus=2, A=[0.8627 - 0.0642j, 0.8651],
+                       B=[0.0823 + 1.1058j, 0.3461 + 0.7485j],
+                       C=[0.2219 + 0.0782j, 0.2110 - 0.4196j])
+    mesh = sf.generate_mesh(sf.build_surface(m), h=0.06)
+    assert sf.validate_mesh(mesh)["n_triangles"] == mesh.n_triangles
+    for j, cycles in enumerate(mesh.cycle_paths):
+        assert abs(sf.cycle_period(mesh, cycles["a"]) - m.A[j]) < 1e-12
+        assert abs(sf.cycle_period(mesh, cycles["b"]) - m.B[j]) < 1e-12
+
+
+# -- property: random valid moduli mesh or raise a typed error ---------------------
+
+def _lattice(scale, tilt, shape):
+    a = scale * np.exp(1j * tilt)
+    return complex(a), complex(a * shape)
+
+
+@st.composite
+def moduli_points(draw):
+    genus = draw(st.sampled_from([1, 2]))
+    num = st.floats
+    A, B = [], []
+    for _ in range(genus):
+        a, b = _lattice(draw(num(0.8, 1.5)), draw(num(-0.3, 0.3)),
+                        complex(draw(num(-0.4, 0.4)), draw(num(0.8, 2.0))))
+        A.append(a)
+        B.append(b)
+    C = []
+    if genus == 2:
+        c0 = complex(draw(num(-0.5, 0.5)), draw(num(-0.5, 0.5)))
+        length, angle = draw(num(0.2, 0.6)), draw(num(-math.pi, math.pi))
+        C = [c0, c0 + length * np.exp(1j * angle)]
+    h = draw(st.sampled_from([0.05, 0.06] if genus == 2 else [0.05, 0.1]))
+    return sf.ModuliPoint(genus=genus, A=A, B=B, C=C), h
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(moduli_points())
+def test_random_moduli_mesh_or_typed_error(point):
+    moduli, h = point
+    try:
+        mesh = sf.generate_mesh(sf.build_surface(moduli), h=h)
+    except (sf.InvalidModuliError, sf.MeshResolutionError):
+        return
+    assert sf.validate_mesh(mesh)["n_triangles"] == mesh.n_triangles
+    assert len(mesh.cycle_paths) == moduli.genus
+    for j, cycles in enumerate(mesh.cycle_paths):
+        assert abs(sf.cycle_period(mesh, cycles["a"]) - moduli.A[j]) < 1e-12
+        assert abs(sf.cycle_period(mesh, cycles["b"]) - moduli.B[j]) < 1e-12

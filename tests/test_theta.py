@@ -204,6 +204,31 @@ def test_heat_equation_residual_g2_g3():
             assert th.heat_equation_residual(char, xi, B) < 1e-8
 
 
+def test_b_derivative_by_central_differences():
+    # independent of heat_equation_residual: theta differenced in B (B_ij and
+    # B_ji moved together, so an off-diagonal step counts the entry twice)
+    # against the xi-Hessian / (4 pi i); fourth-order central differences
+    # with step 1e-3 leave a truncation of order 1e-12
+    rng = np.random.default_rng(13)
+    eps = 1e-3
+    for g in (2, 3):
+        for _ in range(3):
+            B = random_siegel(g, rng)
+            xi = rng.normal(size=g) * 0.4 + 1j * rng.normal(size=g) * 0.2
+            char = th.all_characteristics(g)[rng.integers(4 ** g)]
+            for i in range(g):
+                for j in range(i, g):
+                    E = np.zeros((g, g))
+                    E[i, j] = E[j, i] = 1.0
+
+                    def f(s):
+                        return th.theta(char, xi, B + s * E)
+                    fd = (8 * (f(eps) - f(-eps)) - (f(2 * eps) - f(-2 * eps))) / (12 * eps)
+                    hess = th.theta(char, xi, B, deriv=(i, j))
+                    ref = (1 if i == j else 2) * hess / (4j * math.pi)
+                    assert abs(fd - ref) < 1e-8 * max(1.0, abs(ref)), (g, i, j)
+
+
 def test_heat_residual_decreases_with_truncation():
     B = np.array([[0.1 + 1.0j]])
     char = th.ThetaCharacteristic((0.5,), (0.0,))
