@@ -267,13 +267,18 @@ def parabolic_cylinder_Dmhalf(z, switch: float = 6.0):
     under which the model solution c(lambda) D_{-1/2}(2 r (-lambda)^{1/4})
     carries the stated constants).  Power series for |z| < switch, Poincare
     asymptotics (valid for |arg z| < 3 pi/4) beyond; exponentially decaying as
-    z -> +infinity.
+    z -> +infinity.  Raises ValueError where the series would need scipy's
+    complex hyp1f1 at |z^2/2| >= 18, past which it loses digits (a switch
+    above 6 at non-real z).
     """
     z = complex(z)
     if abs(z) < switch:
         x = z * z / 2.0
         if x.imag == 0.0:
             x = x.real    # scipy's real hyp1f1 stays accurate at large x
+        elif abs(x) >= 18.0:
+            raise ValueError(f"series branch at z = {z}: complex hyp1f1 is "
+                             "inaccurate for |z^2/2| >= 18; lower `switch`")
         t1 = hyp1f1(0.25, 0.5, x) / GAMMA_3_4
         t2 = -math.sqrt(2.0) * z * hyp1f1(0.75, 1.5, x) / GAMMA_1_4
         d_std = 2.0 ** (-0.25) * math.sqrt(math.pi) * np.exp(-x / 2.0) * (t1 + t2)

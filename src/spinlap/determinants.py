@@ -185,24 +185,22 @@ def s_gram_direct(periods, char, lift, delta=None, n_rad=20, n_ang=40):
 
     Unlike t_matrix_zero this goes through the per-point kernel values with
     the tree-gauge h_delta branch, so it exercises a different assembly path;
-    used for the diagonal cross-check and the Bergman projection test."""
-    from .spectral import szego_section_field
+    used for the diagonal cross-check and the Bergman projection test.  The
+    bulk fields are the raw theta-route values, whose vertex products need no
+    FEM gauge, so `lift` is not used."""
+    from .spectral import szego_section_raw
     mesh = periods.mesh
     g = periods.genus
     ncone = len(mesh.cone_patches)
     if delta is None:
         delta = th.odd_characteristics(g)[0]
-    fields = [szego_section_field(periods, char, k, lift, delta=delta)
-              for k in range(ncone)]
-    gram = np.zeros((ncone, ncone), dtype=complex)
-    for t in _bulk_triangles(mesh):
-        pos = mesh.tri_pos[t]
-        area = 0.5 * abs((np.conj(pos[1] - pos[0]) * (pos[2] - pos[0])).imag)
-        vs = mesh.triangles[t]
-        for i in range(ncone):
-            for j in range(ncone):
-                gram[i, j] += area / 3.0 * np.sum(fields[i][vs]
-                                                  * np.conj(fields[j][vs]))
+    # the raw (ungauged) fields: f_i conj(f_j) at one vertex is gauge-free
+    f = np.stack([szego_section_raw(periods, char, k, delta)
+                  for k in range(ncone)], axis=1)                # (nv, ncone)
+    bulk = _bulk_triangles(mesh)
+    area = np.abs(mesh.signed_areas()[bulk])
+    fb = f[mesh.triangles[bulk]]                                 # (T, 3, ncone)
+    gram = np.einsum("t,tci,tcj->ij", area / 3.0, fb, np.conj(fb))
     # patches: polar rule with measure |x| dLeb in the distinguished chart
     xg, wg = np.polynomial.legendre.leggauss(n_rad)
     rho = 0.5 * (xg + 1.0)

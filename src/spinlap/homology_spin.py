@@ -86,15 +86,19 @@ class SignLift:
     mesh: object
     spin: SpinStructure
     eta: np.ndarray              # (nt, 3) per-corner gauge signs
-    edge_sign: dict              # undirected edge -> +-1 (cone spokes excluded)
+    edge_sign: np.ndarray        # (ne,) int8 sign of each mesh.edge_table edge,
+                                 # 0 on the cone spokes, which carry none
 
     def loop_sign(self, path):
-        """Product of edge signs along a closed vertex path."""
-        total = 1
-        for u, v in zip(path[:-1], path[1:]):
-            key = (min(int(u), int(v)), max(int(u), int(v)))
-            total *= self.edge_sign[key]
-        return total
+        """Product of edge signs along a closed vertex path; raises KeyError
+        at a step that is not a mesh edge or runs along a cone spoke."""
+        path = np.asarray(path, dtype=int)
+        idx, _ = self.mesh.edge_table.lookup(path[:-1], path[1:])
+        signs = self.edge_sign[idx]
+        if np.any(signs == 0):
+            k = int(np.argmax(signs == 0))
+            raise KeyError((int(path[k]), int(path[k + 1])))
+        return int(np.prod(signs, dtype=int))
 
 
 def build_sign_lift(mesh, spin: SpinStructure) -> SignLift:
@@ -122,8 +126,7 @@ def build_sign_lift(mesh, spin: SpinStructure) -> SignLift:
     if np.any(bad):
         key = tuple(int(x) for x in table.edges[np.argmax(bad)])
         raise LiftFailureError(f"inconsistent cocycle at edge {key}")
-    edge_sign = dict(zip(map(tuple, table.edges[keep].tolist()),
-                         side_sign[keep, 0].tolist()))
+    edge_sign = np.where(keep, side_sign[:, 0], 0).astype(np.int8)
     return SignLift(mesh=mesh, spin=spin, eta=eta, edge_sign=edge_sign)
 
 

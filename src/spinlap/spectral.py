@@ -30,12 +30,14 @@ remainder, for t >= t0 the eigenvalue sum with an optional Weyl tail.
 
 from __future__ import annotations
 
+import gc
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse import csgraph
 from scipy.special import exp1
 
 from .cone_analysis import pencil_coefficients
@@ -144,12 +146,11 @@ class DiscreteOperator:
 
 
 def _phi_at(cone, patch, chart, z):
-    """4 pi angle of flat points z (array) in the chart `chart` near `cone`."""
-    sheet0, _ = patch.sheet_tori
-    flag = 0 if chart == sheet0 else 1
+    """4 pi angle of flat points z near `cone`, seen from the charts `chart`
+    (broadcast against z)."""
     zeta = np.asarray(z) - cone.position
     delta = (np.angle(zeta) - cone.theta_ray) % (2.0 * math.pi)
-    return delta + 2.0 * math.pi * flag
+    return delta + 2.0 * math.pi * (np.asarray(chart) != patch.sheet_tori[0])
 
 
 def assemble_operator(mesh, lift, extension, periods=None, char=None,
@@ -162,15 +163,10 @@ def assemble_operator(mesh, lift, extension, periods=None, char=None,
     """
     if extension not in EXTENSIONS:
         raise ValueError(f"unknown extension {extension!r}")
-    nv = mesh.n_vertices
-    cone_vs = set(mesh.cone_vertex_ids())
-    dof_of_vertex = np.full(nv, -1, dtype=int)
-    j = 0
-    for v in range(nv):
-        if v not in cone_vs:
-            dof_of_vertex[v] = j
-            j += 1
-    n_p1 = j
+    is_dof = np.ones(mesh.n_vertices, dtype=bool)
+    is_dof[mesh.cone_vertex_ids()] = False
+    dof_of_vertex = np.where(is_dof, np.cumsum(is_dof) - 1, -1)
+    n_p1 = int(is_dof.sum())
 
     # (m, s, p): Darboux mode f_{k,m,s} times the regular radial modulation
     # (r/r0)^p; p > 0 companions stay inside the Friedrichs form domain and
@@ -180,17 +176,12 @@ def assemble_operator(mesh, lift, extension, periods=None, char=None,
         modes = [(0, +1, 0), (0, +1, 1), (0, +1, 2), (0, +1, 3)]
     elif extension == "holomorphic_local":
         modes = [(-1, +1, 0), (-1, +1, 1), (0, +1, 0), (0, +1, 1)]
-    enrichment = []
-    col = n_p1
-    for k in range(len(mesh.cone_patches)):
-        if extension == "holomorphic":
-            enrichment.append({"cone": k, "mode": "szego", "col": col})
-            col += 1
-        else:
-            for mode in modes:
-                enrichment.append({"cone": k, "mode": mode, "col": col})
-                col += 1
-    ndof = col
+    elif extension == "holomorphic":
+        modes = ["szego"]
+    ncone = len(mesh.cone_patches)
+    enrichment = [{"cone": k, "mode": mode, "col": n_p1 + len(modes) * k + i}
+                  for k in range(ncone) for i, mode in enumerate(modes)]
+    ndof = n_p1 + len(enrichment)
 
     # ----- P1 block, real symmetric.  dbar phi_c = -e_c / (4 i A) with e_c
     # the edge opposite corner c, so the dbar Gram entry of a triangle is
@@ -198,44 +189,57 @@ def assemble_operator(mesh, lift, extension, periods=None, char=None,
     # is antisymmetric in (a, b) and cancels across every interior edge (both
     # triangles carry the same edge sign), so only the real part is kept.
     pos = mesh.tri_pos
-    area = mesh.signed_areas()[:, None, None]
+    area = mesh.signed_areas()
     e = np.roll(pos, -2, axis=1) - np.roll(pos, -1, axis=1)          # (nt, 3)
     eta = lift.eta.astype(float)
     ss = eta[:, :, None] * eta[:, None, :]
+    a3 = area[:, None, None]
     p1_a = ss * (e.real[:, :, None] * e.real[:, None, :]
-                 + e.imag[:, :, None] * e.imag[:, None, :]) / (16.0 * area)
-    p1_m = ss * area * ((1.0 + np.eye(3)) / 12.0)
+                 + e.imag[:, :, None] * e.imag[:, None, :]) / (16.0 * a3)
+    p1_m = ss * a3 * ((1.0 + np.eye(3)) / 12.0)
     dofs = dof_of_vertex[mesh.triangles]
     p1_rows = np.broadcast_to(dofs[:, :, None], ss.shape)
     p1_cols = np.broadcast_to(dofs[:, None, :], ss.shape)
     keep = (p1_rows >= 0) & (p1_cols >= 0)          # cone vertices carry no dof
-    p1_rows, p1_cols = p1_rows[keep], p1_cols[keep]
+    border_a = [(p1_rows[keep], p1_cols[keep], p1_a[keep])]
+    border_m = [(p1_rows[keep], p1_cols[keep], p1_m[keep])]
 
-    rows_a, cols_a, vals_a = [], [], []
-    rows_m, cols_m, vals_m = [], [], []
-
-    # ----- enrichment blocks (complex)
-    if enrichment and extension != "holomorphic":
-        _assemble_local_enrichment(mesh, lift, enrichment, dof_of_vertex,
-                                   cutoff, rows_a, cols_a, vals_a,
-                                   rows_m, cols_m, vals_m)
-    elif enrichment:
+    # ----- enrichment borders (complex), integrated by the 7-point rule
+    # (weights wq) against the gauged hats eta_c phi_c (mass) and their dbar
+    # (stiffness)
+    if extension == "holomorphic" and ncone:
+        # the exact Szego kernels: P1 interpolants of their gauged vertex
+        # values over every triangle; their stiffness rows vanish (dbar S = 0)
         if periods is None or char is None:
             raise AssemblyError("holomorphic variant needs periods and char")
-        _assemble_szego_enrichment(mesh, lift, enrichment, dof_of_vertex,
-                                   periods, char,
-                                   rows_m, cols_m, vals_m)
-        # stiffness rows of the exact kernels vanish identically (dbar S = 0)
+        f = np.stack([szego_section_field(periods, char, k, lift)
+                      for k in range(ncone)], axis=1)                # (nv, n)
+        E = np.einsum("qc,tci->tqi", _QB, eta[:, :, None] * f[mesh.triangles])
+        cols = n_p1 + np.arange(ncone)
+        wq, hat = area[:, None] * _QW, eta[:, None, :] * _QB
+        border_m.append(_border_triplets(dofs, cols, wq, hat, E)[0])
+    elif extension in ("szego", "holomorphic_local"):
+        dbar_hat = eta * -e / (4j * area[:, None])                   # (nt, 3)
+        for k in range(ncone):
+            r0 = mesh.cone_patches[k].outer_radius
+            tris = patch_triangle_ids(mesh, k, cutoff[1] * r0 * 1.05)
+            E, dE = _cone_mode_fields(mesh, k, modes, tris, cutoff)
+            cols = n_p1 + len(modes) * k + np.arange(len(modes))
+            wq, hat = area[tris, None] * _QW, eta[tris, None, :] * _QB
+            trip, gram = _border_triplets(dofs[tris], cols, wq, hat, E)
+            if np.linalg.cond(gram) > 1e12:
+                raise AssemblyError("enrichment Gram near-singular; enlarge cutoff")
+            border_m.append(trip)
+            d = np.broadcast_to(dbar_hat[tris, None, :], hat.shape)
+            border_a.append(_border_triplets(dofs[tris], cols, wq, d, dE)[0])
 
-    def pencil_matrix(p1_vals, rows, cols, vals):
-        rows = np.concatenate([p1_rows, np.asarray(rows, dtype=int)])
-        cols = np.concatenate([p1_cols, np.asarray(cols, dtype=int)])
-        vals = np.concatenate([p1_vals[keep], np.asarray(vals)])
+    def pencil_matrix(triplets):
+        rows, cols, vals = (np.concatenate(x) for x in zip(*triplets))
         X = sp.coo_matrix((vals, (rows, cols)), shape=(ndof, ndof)).tocsr()
         return 0.5 * (X + X.conj().T)
 
-    A = pencil_matrix(p1_a, rows_a, cols_a, vals_a)
-    M = pencil_matrix(p1_m, rows_m, cols_m, vals_m)
+    A = pencil_matrix(border_a)
+    M = pencil_matrix(border_m)
     # a complex border in either matrix makes the pencil complex Hermitian
     dtype = np.result_type(A.dtype, M.dtype)
     A, M = A.astype(dtype, copy=False), M.astype(dtype, copy=False)
@@ -245,180 +249,112 @@ def assemble_operator(mesh, lift, extension, periods=None, char=None,
                             enrichment=enrichment, cutoff=tuple(cutoff))
 
 
-def _assemble_local_enrichment(mesh, lift, enrichment, dof_of_vertex, cutoff,
-                               rows_a, cols_a, vals_a, rows_m, cols_m, vals_m):
-    eta = lift.eta
+def _cone_mode_fields(mesh, k, modes, tris, cutoff):
+    """The cutoff cone modes chi(r) (r/r0)^p f_{k,m,s} of `modes` and their
+    dbar at the 7 quadrature points of the triangles `tris` around cone k:
+    two (T, 7, len(modes)) arrays."""
+    patch = mesh.cone_patches[k]
+    cone = patch.cone
+    r0 = patch.outer_radius
+    r1, r2 = cutoff[0] * r0, cutoff[1] * r0
+    zq = np.einsum("qc,tc->tq", _QB, mesh.tri_pos[tris])
+    zeta = zq - cone.position
+    r = np.abs(zeta)
+    phi = _phi_at(cone, patch, mesh.tri_chart[tris][:, None], zq)
+    chi, chi_r = smoothstep(r, r1, r2), smoothstep_deriv(r, r1, r2)
+    dbar_r = zeta / (2.0 * np.where(r > 0, r, 1.0))
+    E, dE = [], []
+    for m, sgn, pw in modes:
+        f = cone_mode_phase(m, sgn, cone.theta_ray) * cone_mode_rep(m, sgn, r, phi)
+        gp = (chi_r * (r / r0) ** pw + chi * pw * r ** (pw - 1.0) / r0 ** pw
+              if pw else chi_r)
+        E.append(chi * (r / r0) ** pw * f)
+        dE.append(f * gp * dbar_r)
+    return np.stack(E, axis=-1), np.stack(dE, axis=-1)
 
-    def mode_fields(ent, r, phi, zeta, r1, r2, r0, theta_ray):
-        """(E, dbarE) at quadrature points for one enrichment entry."""
-        m, sgn, pw = ent["mode"]
-        f = cone_mode_phase(m, sgn, theta_ray) * cone_mode_rep(m, sgn, r, phi)
-        g = smoothstep(r, r1, r2) * (r / r0) ** pw
-        gp = (smoothstep_deriv(r, r1, r2) * (r / r0) ** pw
-              + smoothstep(r, r1, r2) * pw * r ** (pw - 1.0) / r0 ** pw
-              if pw else smoothstep_deriv(r, r1, r2))
-        dbar_r = zeta / (2.0 * np.where(r > 0, r, 1.0))
-        return g * f, f * gp * dbar_r
 
-    by_cone = {}
-    for ent in enrichment:
-        by_cone.setdefault(ent["cone"], []).append(ent)
-    for k, ents in by_cone.items():
-        patch = mesh.cone_patches[k]
-        cone = patch.cone
-        r0 = patch.outer_radius
-        r1, r2 = cutoff[0] * r0, cutoff[1] * r0
-        nE = len(ents)
-        aEE = np.zeros((nE, nE), dtype=complex)
-        mEE = np.zeros((nE, nE), dtype=complex)
-        for t in patch_triangle_ids(mesh, k, r2 * 1.05):
-            p = mesh.tri_pos[t]
-            A2 = 0.5 * (np.conj(p[1] - p[0]) * (p[2] - p[0])).imag
-            zq = _QB @ p
-            wq = _QW * A2
-            zeta = zq - cone.position
-            r = np.abs(zeta)
-            phi = _phi_at(cone, patch, int(mesh.tri_chart[t]), zq)
-            Es, dEs = [], []
-            for ent in ents:
-                E, dE = mode_fields(ent, r, phi, zeta, r1, r2, r0, cone.theta_ray)
-                Es.append(E)
-                dEs.append(dE)
-            dofs = [int(dof_of_vertex[int(mesh.triangles[t, c])]) for c in range(3)]
-            dbar_hat = np.array([-(p[(c + 2) % 3] - p[(c + 1) % 3])
-                                 for c in range(3)]) / (4j * A2)
-            for c in range(3):
-                if dofs[c] < 0:
-                    continue
-                g = eta[t, c]
-                for i, ent in enumerate(ents):
-                    a_val = np.sum(wq * np.conj(g * dbar_hat[c]) * dEs[i])
-                    m_val = np.sum(wq * np.conj(g * _QB[:, c]) * Es[i])
-                    col = ent["col"]
-                    rows_a.append(dofs[c]); cols_a.append(col); vals_a.append(a_val)
-                    rows_a.append(col); cols_a.append(dofs[c]); vals_a.append(np.conj(a_val))
-                    rows_m.append(dofs[c]); cols_m.append(col); vals_m.append(m_val)
-                    rows_m.append(col); cols_m.append(dofs[c]); vals_m.append(np.conj(m_val))
-            for i in range(nE):
-                for j2 in range(nE):
-                    aEE[i, j2] += np.sum(wq * np.conj(dEs[i]) * dEs[j2])
-                    mEE[i, j2] += np.sum(wq * np.conj(Es[i]) * Es[j2])
-        if np.linalg.cond(mEE) > 1e12:
-            raise AssemblyError("enrichment Gram near-singular; enlarge cutoff")
-        for i, e1 in enumerate(ents):
-            for j2, e2 in enumerate(ents):
-                rows_a.append(e1["col"]); cols_a.append(e2["col"]); vals_a.append(aEE[i, j2])
-                rows_m.append(e1["col"]); cols_m.append(e2["col"]); vals_m.append(mEE[i, j2])
+def _border_triplets(dofs, cols, wq, hat, E):
+    """COO triplets (rows, cols, vals) of one enrichment border, and its Gram.
+
+    dofs (T, 3) are the corner dofs (-1 at cone vertices), wq (T, 7) the
+    quadrature weights, hat (T, 7, 3) the corner test functions and E (T, 7, n)
+    the fields of the enrichment columns `cols` at the quadrature points.  The
+    triplets hold the couplings sum_q w_q conj(hat_c) E_i of every dof corner
+    with every column, their Hermitian mirror, and the n x n Gram
+    sum_q w_q conj(E_i) E_j.  Returns (triplets, Gram)."""
+    coupling = np.einsum("tq,tqc,tqi->tci", wq, np.conj(hat), E)
+    # optimize=True contracts through BLAS; the plain loop sums all T x 7
+    # terms in one running total and loses ~1e-13 of a cancelling entry
+    gram = np.einsum("tq,tqi,tqj->ij", wq, np.conj(E), E, optimize=True)
+    t, c = np.nonzero(dofs >= 0)
+    rows = np.repeat(dofs[t, c], len(cols))
+    across = np.tile(cols, len(t))
+    vals = coupling[t, c].ravel()
+    gi, gj = np.meshgrid(cols, cols, indexing="ij")
+    return (np.concatenate([rows, across, gi.ravel()]),
+            np.concatenate([across, rows, gj.ravel()]),
+            np.concatenate([vals, np.conj(vals), gram.ravel()])), gram
+
+
+def szego_section_raw(periods, char, k, delta):
+    """Theta-route vertex values of the section S(., P_k), on the spanning-
+    tree branches of h_delta and of the Abel map (not in the FEM gauge).
+    Products f_i conj(f_j) of two such fields at one vertex are gauge-free."""
+    from . import theta as th
+    pk = ("cone", k, 0.0)
+    t0 = periods.theta0(char)
+    a_pk = periods.abel(pk)
+    h_pk = periods.h_delta(delta, pk)
+    w = (periods.abel_vertex - a_pk[:, None]).T          # (nv, g)
+    num = th.theta_batch(char, w, periods.b_matrix)
+    den = th.theta_batch(delta, w, periods.b_matrix)
+    h2 = periods.h_delta_sq_vertex(delta)
+    hz = periods._h_sign_field(delta) * np.sqrt(h2)
+    # S(z, P_k) = theta[pq](A(z)-A(P_k)) h(z) h(P_k) / (theta0 * (-theta[d](A(z)-A(P_k))))
+    # from S = theta(A(z)-A(pk)) / (t0 E(z, pk)), E(z, pk) = theta_d(A(pk)-A(z))/(h h)
+    vals = num * hz * h_pk / (t0 * (-den))
+    vals[np.abs(den) < 1e-300] = 0.0
+    return vals
 
 
 def szego_section_field(periods, char, k, lift, delta=None):
     """Vertex values of the section S(., P_k) in the FEM gauge.
 
-    The raw theta-route values carry the spanning-tree branch of h_delta and
-    the tree branch of the Abel map; the FEM-gauge mismatch field mu(v) = +-1
-    is propagated by continuity (mis-assignments can only occur near zeros of
-    S, where the field is negligible).
+    The raw theta-route values (szego_section_raw) differ from the FEM gauge
+    by a sign field mu(v) = +-1.  A smooth section's dof values satisfy
+    f_v ~ eps_uv f_u across each edge, so mu is propagated by that rule from
+    the largest value off the cone vertices over a maximum-reliability tree:
+    the spanning tree of the non-spoke edges that maximizes the smaller |f|
+    of each edge.  Sign decisions are thus never made near the zeros of the
+    section, where a single misdetection would flip a whole subtree.
     """
     from . import theta as th
     mesh = periods.mesh
     if delta is None:
         delta = th.odd_characteristics(periods.genus)[0]
-    cone = mesh.cone_patches[k].cone
-    pk = ("cone", k, 0.0)
-    t0 = periods.theta0(char)
-    a_pk = periods.abel(pk)
-    h_pk = periods.h_delta(delta, pk)
-    grad = periods.theta_gradient0(delta)
-
-    nv = mesh.n_vertices
-    w = (periods.abel_vertex - a_pk[:, None]).T          # (nv, g)
-    num = th.theta_batch(char, w, periods.b_matrix)
-    den = th.theta_batch(delta, w, periods.b_matrix)
-    h2 = periods.h_delta_sq_vertex(delta)
-    sgn = periods._h_sign_field(delta)
-    hz = sgn * np.sqrt(h2)
-    # S(z, P_k) = theta[pq](A(z)-A(P_k)) h(z) h(P_k) / (theta0 * (-theta[d](A(z)-A(P_k))))
-    # from S = theta(A(z)-A(pk)) / (t0 E(z, pk)), E(z, pk) = theta_d(A(pk)-A(z))/(h h)
-    vals = num * hz * h_pk / (t0 * (-den))
-    vals[np.abs(den) < 1e-300] = 0.0
-
-    # propagate the FEM-gauge mismatch field mu(v): a smooth section's dof
-    # values satisfy f_v ~ eps_uv f_u across each edge.  The propagation runs
-    # over a maximum-reliability tree (largest |vals| first), so sign
-    # decisions are never made near the zeros of the section, where a single
-    # misdetection would flip a whole subtree.
-    import heapq
-    edge_sign = lift.edge_sign
-    mu = np.zeros(nv, dtype=np.int8)
+    vals = szego_section_raw(periods, char, k, delta)
     absv = np.abs(vals)
-    adj = [[] for _ in range(nv)]
-    for (u, v) in edge_sign:
-        adj[u].append(v)
-        adj[v].append(u)
-    start = int(np.argmax(absv))
-    mu[start] = 1
-    heap = []
-
-    def push_edges(u):
-        for v in adj[u]:
-            if mu[v] == 0:
-                heapq.heappush(heap, (-min(absv[u], absv[v]), u, v))
-
-    push_edges(start)
-    while heap:
-        _, u, v = heapq.heappop(heap)
-        if mu[v] != 0:
-            continue
-        eps = edge_sign.get((min(u, v), max(u, v)), 1)
-        ref = eps * mu[u] * vals[u]
-        mu[v] = 1 if abs(vals[v] - ref) <= abs(vals[v] + ref) else -1
-        push_edges(v)
-    mu[mu == 0] = 1          # isolated vertices (cone centers have no edges)
+    edges = mesh.edge_table.edges[lift.edge_sign != 0]      # spokes dropped
+    # tree cost: rank of the edge by descending min |f|, strictly positive
+    # (csgraph drops zero weights) and falling as the reliability rises
+    rank = np.argsort(-np.minimum(absv[edges[:, 0]], absv[edges[:, 1]]),
+                      kind="stable")
+    cost = np.empty(len(edges))
+    cost[rank] = np.arange(1.0, len(edges) + 1.0)
+    nv = mesh.n_vertices
+    tree = csgraph.minimum_spanning_tree(
+        sp.coo_matrix((cost, (edges[:, 0], edges[:, 1])), shape=(nv, nv)))
+    # the cone vertices have no tree edges; the pole's own value is rounding
+    absv[mesh.cone_vertex_ids()] = -1.0
+    order, pred = csgraph.breadth_first_order(tree, int(np.argmax(absv)),
+                                              directed=False)
+    child, parent = order[1:], pred[order[1:]]
+    ref = lift.edge_sign[mesh.edge_table.lookup(parent, child)[0]] * vals[parent]
+    rel = np.where(np.abs(vals[child] - ref) <= np.abs(vals[child] + ref), 1, -1)
+    mu = np.ones(nv, dtype=np.int8)
+    for v, u, s in zip(child.tolist(), parent.tolist(), rel.tolist()):
+        mu[v] = s * mu[u]
     return mu * vals
-
-
-def _assemble_szego_enrichment(mesh, lift, enrichment, dof_of_vertex,
-                               periods, char, rows_m, cols_m, vals_m):
-    """Mass couplings for the exact Szego-kernel enrichment columns.
-
-    Fields are taken as the FEM-gauge vertex values interpolated P1-wise plus
-    the exact pole behaviour is not needed for the kernel-dimension count, so
-    a lumped high-order treatment is unnecessary: the integrals use the same
-    7-point rule with P1-interpolated section values away from the pole and
-    the exact local mode at the pole cone.
-    """
-    fields = {}
-    for ent in enrichment:
-        fields[ent["col"]] = szego_section_field(periods, char, ent["cone"], lift)
-    eta = lift.eta
-    cols = sorted(fields)
-    for t in range(mesh.n_triangles):
-        p = mesh.tri_pos[t]
-        A2 = 0.5 * abs((np.conj(p[1] - p[0]) * (p[2] - p[0])).imag)
-        wq = _QW * A2
-        dofs = [int(dof_of_vertex[int(mesh.triangles[t, c])]) for c in range(3)]
-        sgn = eta[t]
-        # triangle-rep values of each section at quadrature points
-        reps = {}
-        for col in cols:
-            fv = fields[col]
-            corner = np.array([sgn[c] * fv[int(mesh.triangles[t, c])]
-                               for c in range(3)])
-            reps[col] = _QB @ corner
-        for c in range(3):
-            if dofs[c] < 0:
-                continue
-            hat = _QB[:, c]
-            for col in cols:
-                m_val = np.sum(wq * np.conj(sgn[c] * hat) * reps[col])
-                rows_m.append(dofs[c]); cols_m.append(col); vals_m.append(m_val)
-                rows_m.append(col); cols_m.append(dofs[c]); vals_m.append(np.conj(m_val))
-        for ci, col in enumerate(cols):
-            for col2 in cols[ci:]:
-                m_val = np.sum(wq * np.conj(reps[col]) * reps[col2])
-                rows_m.append(col); cols_m.append(col2); vals_m.append(m_val)
-                if col2 != col:
-                    rows_m.append(col2); cols_m.append(col); vals_m.append(np.conj(m_val))
 
 
 # ---------------------------------------------------------------------------
@@ -484,6 +420,11 @@ def eigenvalues(op: DiscreteOperator, N: int, vectors=False, sigma=None):
                          maxiter=8000, v0=v0)
     except spla.ArpackNoConvergence as exc:
         raise SolverError(f"eigensolver did not converge: {exc}") from exc
+    finally:
+        # eigsh leaves its shift-invert LU factor in a reference cycle
+        # (21 MB for the h = 0.04 Szego pencil); free it now, not whenever
+        # the allocation count next triggers a collection
+        gc.collect(1)
     if vectors:
         lam, vec = out
         idx = np.argsort(lam)

@@ -283,3 +283,61 @@ def corner_angle_sums(triangles, tri_pos, n_vertices):
             dot = u.real * w.real + u.imag * w.imag
             sums[int(tri[c])] += math.atan2(abs(cross), dot)
     return sums
+
+
+# ---------------------------------------------------------------------------
+# enrichment borders of the sign-lifted P1 space, one triangle at a time
+
+def border_contraction(tri_pos, eta, dofs, qw, qb, E, dE=None):
+    """Couplings of enrichment fields with the sign-lifted P1 hats, and their
+    Grams, summed triangle by triangle.
+
+    tri_pos (T, 3) are complex corner positions, eta (T, 3) the corner gauge
+    signs, dofs (T, 3) the corner dofs (-1 where a corner has none); qw (7,)
+    and qb (7, 3) are a triangle rule (weights summing to 1, barycentric
+    points); E and dE (T, 7, n) are the fields and their dbar at its points.
+    Returns (mass, stiffness, mass_gram, stiffness_gram): the borders as
+    dicts dof -> (n,) array of int conj(eta_c phi_c) E_i and of
+    int conj(eta_c dbar phi_c) dE_i, and the (n, n) Grams int conj(E_i) E_j
+    and int conj(dE_i) dE_j.  Without dE the stiffness parts are empty."""
+    n = E.shape[2]
+    mass, stiff = {}, {}
+    mass_gram = np.zeros((n, n), dtype=complex)
+    stiff_gram = np.zeros((n, n), dtype=complex)
+    for t in range(len(tri_pos)):
+        p = tri_pos[t]
+        area = 0.5 * (np.conj(p[1] - p[0]) * (p[2] - p[0])).imag
+        w = qw * area
+        for c in range(3):
+            d = int(dofs[t, c])
+            if d < 0:
+                continue
+            # phi_c is linear with phi_c = 1 at corner c and 0 on the opposite side
+            dbar_phi = -(p[(c + 2) % 3] - p[(c + 1) % 3]) / (4j * area)
+            for i in range(n):
+                mass.setdefault(d, np.zeros(n, dtype=complex))[i] += \
+                    np.sum(w * eta[t, c] * qb[:, c] * E[t, :, i])
+                if dE is not None:
+                    stiff.setdefault(d, np.zeros(n, dtype=complex))[i] += \
+                        np.sum(w * np.conj(eta[t, c] * dbar_phi) * dE[t, :, i])
+        for i in range(n):
+            for j in range(n):
+                mass_gram[i, j] += np.sum(w * np.conj(E[t, :, i]) * E[t, :, j])
+                if dE is not None:
+                    stiff_gram[i, j] += np.sum(w * np.conj(dE[t, :, i])
+                                               * dE[t, :, j])
+    return mass, stiff, mass_gram, stiff_gram
+
+
+def gauged_p1_mass(triangles, tri_pos, eta, n_vertices):
+    """Closed-form mass matrix (n_vertices, n_vertices) of the sign-lifted P1
+    hats eta_c phi_c over every vertex: each triangle adds
+    eta_a eta_b |A| (1 + delta_ab) / 12 at (a, b)."""
+    M = np.zeros((n_vertices, n_vertices))
+    for tri, p, s in zip(triangles, tri_pos, eta):
+        area = 0.5 * abs((np.conj(p[1] - p[0]) * (p[2] - p[0])).imag)
+        for a in range(3):
+            for b in range(3):
+                share = (2.0 if a == b else 1.0) / 12.0
+                M[tri[a], tri[b]] += s[a] * s[b] * area * share
+    return M

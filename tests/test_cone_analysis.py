@@ -249,6 +249,14 @@ def test_dmhalf_branch_consistency():
         assert abs(ser - asy) < 1e-6 * abs(ser), z
 
 
+def test_dmhalf_refuses_the_inaccurate_complex_series():
+    # switch = 8 would send z^2/2 of modulus 21.1 to scipy's complex hyp1f1
+    z = 6.5 * complex(math.cos(0.3), math.sin(0.3))
+    with pytest.raises(ValueError):
+        ca.parabolic_cylinder_Dmhalf(z, switch=8.0)
+    assert np.isfinite(ca.parabolic_cylinder_Dmhalf(z))
+
+
 def test_dmhalf_exponential_decay():
     vals = [abs(ca.parabolic_cylinder_Dmhalf(z)) for z in (2.0, 6.0, 10.0)]
     assert vals[0] > vals[1] > vals[2]

@@ -86,6 +86,24 @@ def test_g2_contractible_loops(g2_setup):
         assert lift.loop_sign(loop) == 1
 
 
+def test_edge_signs_vanish_on_spokes_only(g2_setup):
+    mesh, _ = g2_setup
+    lift = hs.build_sign_lift(mesh, hs.enumerate_spin_structures(2)[0])
+    edges = mesh.edge_table.edges
+    spoke = np.isin(edges, mesh.cone_vertex_ids()).any(axis=1)
+    assert np.array_equal(lift.edge_sign == 0, spoke)
+    assert set(np.unique(lift.edge_sign[~spoke])) <= {-1, 1}
+    # a path along a spoke, or across a pair of vertices that is no edge
+    u, v = edges[np.flatnonzero(spoke)[0]]
+    with pytest.raises(KeyError):
+        lift.loop_sign([u, v, u])
+    a = int(edges[np.flatnonzero(~spoke)[0], 0])
+    near = set(edges[edges[:, 0] == a, 1]) | set(edges[edges[:, 1] == a, 0])
+    b = next(x for x in range(mesh.n_vertices) if x != a and x not in near)
+    with pytest.raises(KeyError):
+        lift.loop_sign([a, b, a])
+
+
 def test_inconsistent_slit_sign_raises(g2_setup):
     # one flipped corner sign breaks the cocycle on the triangle's two sides
     # through that corner

@@ -83,14 +83,85 @@ def test_friedrichs_pencil_is_the_real_dbar_gram(setup, request):
                                                     rel=1e-12)
 
 
-def test_enriched_pencils_stay_complex(g2_h05):
-    mesh, spin, lift = g2_h05
+@pytest.fixture(scope="module")
+def g2_h05_periods(g2_h05):
+    mesh, spin, _ = g2_h05
     pd = hodge.period_matrix(mesh)
-    char = hs.calibrate_characteristic((spin.sigma_a, spin.sigma_b), pd)
+    return pd, hs.calibrate_characteristic((spin.sigma_a, spin.sigma_b), pd)
+
+
+def test_enriched_pencils_stay_complex(g2_h05, g2_h05_periods):
+    mesh, _, lift = g2_h05
+    pd, char = g2_h05_periods
     for ext in ("szego", "holomorphic"):
         op = spec.assemble_operator(mesh, lift, ext, periods=pd, char=char)
         assert op.stiffness.dtype == np.complex128
         assert op.mass.dtype == np.complex128
+
+
+@pytest.mark.parametrize("extension", ["szego", "holomorphic_local"])
+def test_cone_mode_borders_match_the_triangle_loop(extension, g2_h05):
+    mesh, _, lift = g2_h05
+    op = spec.assemble_operator(mesh, lift, extension)
+    dofs = op.dof_of_vertex[mesh.triangles]
+    for k, patch in enumerate(mesh.cone_patches):
+        ents = [ent for ent in op.enrichment if ent["cone"] == k]
+        cols = [ent["col"] for ent in ents]
+        tris = sf.patch_triangle_ids(mesh, k,
+                                     op.cutoff[1] * patch.outer_radius * 1.05)
+        E, dE = spec._cone_mode_fields(mesh, k, [ent["mode"] for ent in ents],
+                                       tris, op.cutoff)
+        mass, stiff, mass_gram, stiff_gram = oracles.border_contraction(
+            mesh.tri_pos[tris], lift.eta[tris], dofs[tris], spec._QW, spec._QB,
+            E, dE)
+        for X, border, gram in ((op.mass, mass, mass_gram),
+                                (op.stiffness, stiff, stiff_gram)):
+            ref = np.zeros((op.n_p1, len(cols)), dtype=complex)
+            for d, vals in border.items():
+                ref[d] = vals
+            got = X[:op.n_p1][:, cols].toarray()
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+            got = X[cols][:, cols].toarray()
+            assert np.max(np.abs(got - gram)) <= 1e-13 * np.max(np.abs(gram))
+
+
+def test_holomorphic_border_is_the_gauged_p1_mass(g2_h05, g2_h05_periods):
+    # the 7-point rule is exact on P1 x P1, so the border of the interpolated
+    # kernels is the closed-form P1 mass (cone vertices included) times f
+    mesh, _, lift = g2_h05
+    pd, char = g2_h05_periods
+    op = spec.assemble_operator(mesh, lift, "holomorphic", periods=pd,
+                                char=char)
+    M = oracles.gauged_p1_mass(mesh.triangles, mesh.tri_pos, lift.eta,
+                               mesh.n_vertices)
+    F = np.stack([spec.szego_section_field(pd, char, k, lift)
+                  for k in range(len(mesh.cone_patches))], axis=1)
+    # rounding scale: the same sums with every term taken in modulus (the
+    # two slit sides of a vertex next to the pole cancel to ~1e-12 of it)
+    M_abs = oracles.gauged_p1_mass(mesh.triangles, mesh.tri_pos,
+                                   np.ones_like(lift.eta), mesh.n_vertices)
+    cols = [ent["col"] for ent in op.enrichment]
+    v = np.flatnonzero(op.dof_of_vertex >= 0)
+    got = op.mass[op.dof_of_vertex[v]][:, cols].toarray()
+    scale = (M_abs @ np.abs(F))[v]
+    assert np.all(np.abs(got - (M @ F)[v]) <= 1e-13 * scale)
+    got = op.mass[cols][:, cols].toarray()
+    scale = np.abs(F).T @ M_abs @ np.abs(F)
+    assert np.all(np.abs(got - F.conj().T @ M @ F) <= 1e-13 * scale)
+
+
+def test_szego_section_gauge_is_continuous(g2_h05, g2_h05_periods):
+    # in the FEM gauge a smooth section satisfies f_v ~ eps_uv f_u across
+    # every non-spoke edge; the raw theta-route values break this on ~10 %
+    mesh, _, lift = g2_h05
+    pd, char = g2_h05_periods
+    keep = lift.edge_sign != 0
+    u, v = mesh.edge_table.edges[keep].T
+    eps = lift.edge_sign[keep]
+    for k in range(len(mesh.cone_patches)):
+        f = spec.szego_section_field(pd, char, k, lift)
+        bad = np.abs(f[v] - eps * f[u]) > np.abs(f[v] + eps * f[u])
+        assert bad.sum() < 0.01 * keep.sum(), (k, int(bad.sum()))
 
 
 def test_eigenvalues_record_a_clamped_request():
