@@ -191,6 +191,8 @@ def cmd_spectrum(args):
     payload["extension"] = args.extension
     payload["h"] = args.h
     payload["eigenvalues"] = [float(v) for v in res.eigenvalues]
+    payload["krylov_dim"] = res.krylov_dim
+    payload["residual_bound"] = res.residual_bound
     heat = []
     if args.extension in ("friedrichs", "szego"):
         lam = res.positive()
@@ -202,7 +204,9 @@ def cmd_spectrum(args):
                 continue
         try:
             ld, err, info = spec.zeta_determinant(res)
-            payload["zeta"] = {"log_det": ld, "err": err, "t0": info["t0"]}
+            payload["zeta"] = {"log_det": ld, "err": err,
+                               **{key: info[key] for key in
+                                  ("t0", "n_eigs", "overlap_gap")}}
         except spec.WindowError as exc:
             payload["zeta"] = {"error": str(exc)}
     payload["heat_trace"] = heat

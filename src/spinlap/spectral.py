@@ -17,10 +17,12 @@ weight:
                     identically, so the kernel dimension 2g-2 is exact.
 
 The sign-lifted P1 pencil is real symmetric (the imaginary part of the dbar
-Gram cancels edge by edge), so the Friedrichs pencil is assembled in float64
-and eigsh solves it with ARPACK's symmetric Lanczos solver.  Only the
-enrichment borders of the szego and holomorphic variants are complex; their
-pencils are complex Hermitian and go to the complex Arnoldi solver (eigs).
+Gram cancels edge by edge), so the Friedrichs pencil is assembled in float64.
+Only the enrichment borders of the szego and holomorphic variants are
+complex; their pencils are complex Hermitian.  Every pencil, real or complex,
+is solved by one shift-invert Lanczos iteration on (A - sigma M)^-1 M, which
+is self-adjoint in the M inner product, so its projection is a real
+tridiagonal matrix (Ericsson & Ruhe, Math. Comp. 35, 1980).
 
 Heat traces and zeta determinants follow the split-Mellin regularization: for
 t < t0 the two-term short-time model Area/(pi t) + c0 (c0 = -3(g-1)/8 for the
@@ -30,13 +32,14 @@ remainder, for t >= t0 the eigenvalue sum with an optional Weyl tail.
 
 from __future__ import annotations
 
-import gc
 import math
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import eigh_tridiagonal
 from scipy.sparse import csgraph
 from scipy.special import exp1
 
@@ -60,7 +63,8 @@ class AssemblyError(RuntimeError):
 
 
 class SolverError(RuntimeError):
-    """Eigensolver failed to converge."""
+    """Eigensolve impossible (the shift is an eigenvalue) or its spectrum
+    inconsistent with the extension."""
 
 
 class WindowError(ValueError):
@@ -373,7 +377,10 @@ class SpectralResult:
     label: str = ""
     cone_coefficients: dict = None     # filled by extract_singular_coefficients
     requested: int = None              # N passed to eigenvalues(), before
-                                       # its clamp to n_dofs - 2
+                                       # its clamp to n_dofs
+    krylov_dim: int = None             # Lanczos steps the eigensolve took
+    residual_bound: float = None       # largest relative Ritz bound of the
+                                       # returned pairs (0 when exact)
 
     def extract_cone_coefficients(self, modes, cones=None):
         """Populate cone_coefficients[(mode, k)] for selected eigenfunctions."""
@@ -404,39 +411,155 @@ class SpectralResult:
 def eigenvalues(op: DiscreteOperator, N: int, vectors=False, sigma=None):
     """N smallest generalized eigenvalues of (stiffness, mass).
 
-    ARPACK's shift-invert solve gives at most n_dofs - 2 of them; a larger N
-    is clamped, and the result records the N asked for as `requested`."""
+    More precisely the N nearest the shift sigma (by default below the
+    spectrum), by shift-invert Lanczos.  A pencil has n_dofs eigenvalues; a
+    larger N is clamped, and the result records the N asked for as
+    `requested`.  With vectors=True the eigenvectors are mass-orthonormal.
+    Raises SolverError when sigma is an eigenvalue (A - sigma M singular)."""
     from .surface import flat_area
     ndof = op.n_dofs
-    requested, N = N, min(N, ndof - 2)
+    requested, N = N, min(N, ndof)
     if sigma is None:
         sigma = -0.1 if op.extension.startswith("holomorphic") else 0.0
         if op.extension == "szego":
             sigma = -0.05
     v0 = np.ones(ndof) + 0.5 * np.cos(np.arange(ndof))   # deterministic start
-    try:
-        out = spla.eigsh(op.stiffness, k=N, M=op.mass, sigma=sigma,
-                         which="LM", return_eigenvectors=vectors,
-                         maxiter=8000, v0=v0)
-    except spla.ArpackNoConvergence as exc:
-        raise SolverError(f"eigensolver did not converge: {exc}") from exc
-    finally:
-        # eigsh leaves its shift-invert LU factor in a reference cycle
-        # (21 MB for the h = 0.04 Szego pencil); free it now, not whenever
-        # the allocation count next triggers a collection
-        gc.collect(1)
-    if vectors:
-        lam, vec = out
-        idx = np.argsort(lam)
-        lam, vec = lam[idx], vec[:, idx]
-    else:
-        lam = np.sort(out)
-        vec = None
+    lam, vec, m, bound = _shift_invert_lanczos(op.stiffness, op.mass, N,
+                                               sigma, v0, vectors)
+    idx = np.argsort(lam)
+    lam = lam[idx]
+    vec = vec[idx].T if vectors else None
     lam = np.where(np.abs(lam) < 1e-13, 0.0, lam)
     return SpectralResult(extension=op.extension, h=op.mesh.h,
                           genus=op.mesh.genus, area=flat_area(op.mesh.surface),
                           eigenvalues=lam, n_dofs=ndof, vectors=vec, op=op,
-                          requested=requested)
+                          requested=requested, krylov_dim=m,
+                          residual_bound=bound)
+
+
+_RITZ_TOL = 1e-12                # relative Ritz bound of converged pairs
+_DGKS = 1.0 / math.sqrt(2.0)     # norm drop that calls a second Gram-Schmidt
+
+
+def _shift_invert_lanczos(A, M, N, sigma, v0, vectors):
+    """The N eigenpairs of the Hermitian pencil (A, M) nearest sigma.
+
+    Lanczos on K = (A - sigma M)^-1 M in the M inner product, where K is
+    self-adjoint: alpha and beta are real and the projection is a real
+    tridiagonal T.  Each new vector is orthogonalized against the whole
+    stored basis (classical Gram-Schmidt, repeated once when it cancels).
+    A Ritz pair (theta, s) of T has converged when
+    beta_m |s_m| / |theta| <= _RITZ_TOL; lambda = sigma + 1/theta.
+
+    One Krylov space holds a single vector of each eigenspace, so a run
+    whose N largest Ritz values have converged may still miss copies of a
+    multiple eigenvalue.  Its pairs are therefore locked (their Ritz vectors
+    join the basis) and the next run starts from a fixed random vector on
+    the operator deflated by them; a run whose largest Ritz value converges
+    below the N largest locked ones ends the solve.  A run also ends when its
+    Krylov space is invariant (breakdown): its Ritz values are then exact, as
+    they are once the basis spans the whole space.
+
+    Returns (lambda, M-orthonormal eigenvectors as rows if `vectors` else
+    None, Lanczos steps, largest relative Ritz bound)."""
+    n = A.shape[0]
+    dtype = np.result_type(A.dtype, M.dtype)
+    try:
+        solve = spla.splu((A - sigma * M).tocsc()).solve
+    except RuntimeError as exc:        # "Factor is exactly singular"
+        raise SolverError(f"shift {sigma} is an eigenvalue: {exc}") from exc
+
+    def orthogonalize(B, w, Mw):       # w minus its M-projection on rows of B
+        return w - B.T @ np.conj(B @ np.conj(Mw))
+
+    def m_norm(x, Mx):
+        return math.sqrt(max(np.vdot(x, Mx).real, 0.0))
+
+    # rows [0, k) of `basis` hold the locked Ritz vectors, rows [k, k + m)
+    # the current run's Lanczos vectors.  The first run converges within
+    # about 2.5 N steps; a larger one grows the block by `chunk` rows, which
+    # copies it
+    chunk = max(N // 2, 32)
+    basis = _unpaged_rows(min(n, 3 * N + chunk), n, dtype)
+    theta = bound = np.empty(0)        # of the locked pairs
+    k, steps, run = 0, 0, 0
+    w = np.asarray(v0, dtype=dtype)
+    while k < n:
+        for _ in range(2):
+            w = orthogonalize(basis[:k], w, M @ w)
+        Mw = M @ w
+        nrm = m_norm(w, Mw)
+        size = n - k                   # dimension of the deflated space
+        alpha, beta = np.zeros(size), np.zeros(size)
+        m = 0
+        check = min(size, 2 * N if run == 0 else max(1, N // 8))
+        while True:
+            if k + m == len(basis):
+                grown = _unpaged_rows(min(n, k + m + chunk), n, dtype)
+                grown[:k + m] = basis[:k + m]
+                basis = grown
+            basis[k + m] = q = w / nrm
+            p = Mw / nrm               # M q, kept for this step only
+            w = solve(p)
+            alpha[m] = np.vdot(p, w).real
+            w -= alpha[m] * q
+            if m:
+                w -= beta[m - 1] * basis[k + m - 1]
+            m += 1
+            Mw = M @ w
+            before = m_norm(w, Mw)
+            for _ in range(2):
+                w = orthogonalize(basis[:k + m], w, Mw)
+                Mw = M @ w
+                nrm = m_norm(w, Mw)
+                if nrm >= _DGKS * before:
+                    break
+                before = nrm
+            else:
+                nrm = 0.0              # w lies in the span: breakdown
+            if m == size:
+                nrm = 0.0              # the basis spans the whole space
+            beta[m - 1] = nrm
+            if nrm == 0.0 or m >= check:
+                th, s = eigh_tridiagonal(alpha[:m], beta[:m - 1])
+                rel = np.abs(nrm * s[-1]) / np.abs(th)
+                # the N-th largest |theta| so far; this run's pairs above it
+                # and its largest one must converge
+                mags = np.sort(np.abs(np.concatenate([theta, th])))[::-1]
+                cut = mags[min(N, len(mags)) - 1]
+                want = np.abs(th) >= cut
+                want[np.argmax(np.abs(th))] = True
+                if nrm == 0.0 or rel[want].max() <= _RITZ_TOL:
+                    break
+                del s                  # free before the next check's
+                check = min(size, m + max(1, N // 8))
+        steps += m
+        keep = np.abs(th) >= cut       # this run's pairs among the N largest
+        if run and not keep.any():
+            break
+        # the Ritz vectors overwrite the run's first rows, a column block at
+        # a time, so that no second copy of the basis is made
+        coef = s[:, keep].T.astype(dtype)
+        del s
+        for c in range(0, n, 256):
+            basis[k:k + len(coef), c:c + 256] = coef @ basis[k:k + m, c:c + 256]
+        k += len(coef)
+        theta = np.concatenate([theta, th[keep]])
+        bound = np.concatenate([bound, rel[keep]])
+        run += 1
+        w = np.random.default_rng(run).standard_normal(n)
+    top = np.argsort(-np.abs(theta))[:N]
+    return (sigma + 1.0 / theta[top], basis[top] if vectors else None, steps,
+            float(bound[top].max()))
+
+
+def _unpaged_rows(rows, n, dtype):
+    """A zero (rows, n) array in its own anonymous memory map: a page takes
+    memory only once written, and all of them go back to the system when the
+    array is dropped, where a freed heap block of this size can stay
+    resident and raise the peak of whatever runs next."""
+    buf = mmap.mmap(-1, rows * n * np.dtype(dtype).itemsize)
+    return np.frombuffer(buf, dtype=dtype).reshape(rows, n)
 
 
 def richardson_eigenvalues(res_coarse: SpectralResult, res_fine: SpectralResult):

@@ -10,6 +10,7 @@ import itertools
 import math
 
 import numpy as np
+import scipy.linalg
 from scipy.special import exp1
 
 EULER_GAMMA = 0.5772156649015328606
@@ -341,3 +342,22 @@ def gauged_p1_mass(triangles, tri_pos, eta, n_vertices):
                 share = (2.0 if a == b else 1.0) / 12.0
                 M[tri[a], tri[b]] += s[a] * s[b] * area * share
     return M
+
+
+# ---------------------------------------------------------------------------
+# dense generalized eigenvalues
+
+def dense_pencil_eigenvalues(A, M, count):
+    """The `count` smallest eigenvalues lam of the Hermitian pencil
+    A x = lam M x (A positive semidefinite, M positive definite), by dense
+    LAPACK on the reciprocal pencil M y = nu (A + M) y, nu = 1 / (lam + 1).
+
+    eigh(A, M) reduces to M^-1/2 A M^-1/2, whose largest eigenvalue sets its
+    absolute error: on a FEM pencil with lam_max ~ 1e4 that reads up to 4e-11
+    relative on the lowest lam.  The reciprocal pencil has nu in (0, 1], so
+    the lowest lam (the largest nu) come out to rounding, kernel included."""
+    A, M = A.toarray(), M.toarray()
+    n = len(A)
+    nu = scipy.linalg.eigh(M, A + M, eigvals_only=True,
+                           subset_by_index=[n - count, n - 1])
+    return np.sort(1.0 / nu - 1.0)

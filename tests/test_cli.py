@@ -72,7 +72,11 @@ def test_spectrum_command(g1_moduli_file, tmp_path):
     assert len(d["eigenvalues"]) == 40
     assert d["eigenvalues"][0] > 0
     assert "log_det" in d["zeta"]
+    assert d["zeta"]["n_eigs"] == 40
+    assert d["zeta"]["overlap_gap"] >= 0.0
     assert d["heat_trace"]
+    assert d["krylov_dim"] >= 40
+    assert d["residual_bound"] <= 1e-12
 
 
 def test_report_command(g1_moduli_file, tmp_path):

@@ -173,9 +173,70 @@ def test_eigenvalues_record_a_clamped_request():
                                 "friedrichs")
     res = spec.eigenvalues(op, op.n_dofs + 5)
     assert res.requested == op.n_dofs + 5
-    assert len(res.eigenvalues) == op.n_dofs - 2
+    assert len(res.eigenvalues) == op.n_dofs
     res = spec.eigenvalues(op, 4)
     assert res.requested == len(res.eigenvalues) == 4
+
+
+@pytest.mark.parametrize("extension", spec.EXTENSIONS)
+def test_eigenvalues_match_the_dense_pencil(extension, g2_h05, g2_h05_periods):
+    mesh, _, lift = g2_h05
+    pd, char = g2_h05_periods
+    op = spec.assemble_operator(mesh, lift, extension, periods=pd, char=char)
+    res = spec.eigenvalues(op, 40)
+    ref = oracles.dense_pencil_eigenvalues(op.stiffness, op.mass, 40)
+    kernel = ref <= 1e-8 * ref.max()
+    assert res.kernel_dimension() == kernel.sum()
+    assert kernel.sum() == (2 if extension == "holomorphic" else 0)
+    lam, ref = res.eigenvalues[~kernel], ref[~kernel]
+    assert np.max(np.abs(lam - ref) / ref) <= 1e-11
+    assert res.residual_bound <= 1e-12
+
+
+@pytest.mark.parametrize("h, N", [(0.1, None), (0.07, None), (0.07, 65)])
+def test_every_copy_of_a_multiple_eigenvalue(h, N):
+    # a uniform square-torus mesh keeps the lattice symmetries: its pencil
+    # has eigenvalues of multiplicity up to 8, and one Krylov space holds a
+    # single vector of each eigenspace
+    s = sf.build_surface(sf.ModuliPoint(genus=1, A=[1.0], B=[1j]))
+    mesh = sf.generate_mesh(s, h=h)
+    spin = [x for x in hs.enumerate_spin_structures(1)
+            if x.sigma_a == (-1,) and x.sigma_b == (-1,)][0]
+    op = spec.assemble_operator(mesh, hs.build_sign_lift(mesh, spin),
+                                "friedrichs")
+    N = N or op.n_dofs
+    ref = oracles.dense_pencil_eigenvalues(op.stiffness, op.mass, N)
+    repeated = np.isclose(ref[1:], ref[:-1], rtol=1e-12, atol=0.0)
+    assert repeated.sum() > N // 2
+    res = spec.eigenvalues(op, N)
+    assert np.max(np.abs(res.eigenvalues - ref) / ref) <= 1e-11
+
+
+@pytest.mark.parametrize("extension", ["friedrichs", "szego",
+                                       "holomorphic_local"])
+def test_eigenvectors_are_mass_orthonormal(extension, g2_h05):
+    # (the holomorphic pencil is left out: its mass matrix holds entries of
+    # 1e28 from the rounding-limited pole values of the Szego kernels, which
+    # swamp M x of every other eigenvector)
+    mesh, _, lift = g2_h05
+    op = spec.assemble_operator(mesh, lift, extension)
+    res = spec.eigenvalues(op, 30, vectors=True)
+    X, lam = res.vectors, res.eigenvalues
+    MX = op.mass @ X
+    assert np.max(np.abs(X.conj().T @ MX - np.eye(30))) <= 1e-12
+    resid = np.linalg.norm(op.stiffness @ X - MX * lam, axis=0)
+    assert np.all(resid <= 1e-10 * lam * np.linalg.norm(MX, axis=0))
+
+
+def test_singular_shift_raises_solver_error(g2_h05, g2_h05_periods):
+    # the exact Szego-kernel columns have zero stiffness rows, so the
+    # holomorphic stiffness itself is singular
+    mesh, _, lift = g2_h05
+    pd, char = g2_h05_periods
+    op = spec.assemble_operator(mesh, lift, "holomorphic", periods=pd,
+                                char=char)
+    with pytest.raises(spec.SolverError):
+        spec.eigenvalues(op, 4, sigma=0.0)
 
 def test_torus_spectrum_oracle(torus_setup):
     _, _, _, op = torus_setup
