@@ -109,16 +109,9 @@ def _quadrature_nodes(periods, n_rad, n_ang):
         xs = (Rx * rho[:, None] * np.exp(1j * psi[None, :])).ravel()
         weights.append((Rx ** 2 * rho[:, None] * wr[:, None] * wpsi
                         * np.ones_like(psi)[None, :]).ravel() * np.abs(xs))
-        ratios.append(np.array([np.polyval(periods.cone_poly[k][i][::-1], xs)
-                                for i in range(g)]).T)
-        # Abel map: A(P_k) + antiderivative of the Taylor fit
-        abel_cone = periods.abel(("cone", k, 0.0))
-        abel_q = np.empty((len(xs), g), dtype=complex)
-        for i in range(g):
-            coef = np.asarray(periods.cone_poly[k][i], dtype=complex)
-            anti = np.concatenate([[0.0], coef / np.arange(1, len(coef) + 1)])
-            abel_q[:, i] = abel_cone[i] + np.polyval(anti[::-1], xs)
-        nodes.append(abel_q)
+        ratio, abel = periods.cone_series(k, xs)
+        ratios.append(ratio.T)
+        nodes.append(abel.T)
     return np.concatenate(nodes), np.concatenate(ratios), np.concatenate(weights)
 
 
@@ -178,7 +171,7 @@ def t_matrix_zero(surface, periods, char, delta=None, n_rad=24, n_ang=64,
     return ScatteringData(t0=t0, quadrature_error=err, char=char)
 
 
-def s_gram_direct(periods, char, lift, delta=None, n_rad=20, n_ang=40):
+def s_gram_direct(periods, char, delta=None, n_rad=20, n_ang=40):
     """The full Gram (S(P_i,.), S(P_j,.))_{L2} by an independent route:
     vertex-rule over the bulk with the sign-carrying kernel fields, polar rule
     with the pointwise szego_kernel evaluator inside the patches.
@@ -187,7 +180,7 @@ def s_gram_direct(periods, char, lift, delta=None, n_rad=20, n_ang=40):
     the tree-gauge h_delta branch, so it exercises a different assembly path;
     used for the diagonal cross-check and the Bergman projection test.  The
     bulk fields are the raw theta-route values, whose vertex products need no
-    FEM gauge, so `lift` is not used."""
+    FEM gauge."""
     from .spectral import szego_section_raw
     mesh = periods.mesh
     g = periods.genus
@@ -222,10 +215,9 @@ def s_gram_direct(periods, char, lift, delta=None, n_rad=20, n_ang=40):
     return gram
 
 
-def szego_norm_direct(periods, char, lift, k, delta=None, n_rad=20, n_ang=40):
+def szego_norm_direct(periods, char, k, delta=None, n_rad=20, n_ang=40):
     """Direct quadrature of ||S(P_k, .)||^2 (= pi^2 T_kk(0))."""
-    gram = s_gram_direct(periods, char, lift, delta=delta,
-                         n_rad=n_rad, n_ang=n_ang)
+    gram = s_gram_direct(periods, char, delta=delta, n_rad=n_rad, n_ang=n_ang)
     return float(gram[k, k].real)
 
 

@@ -29,7 +29,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import theta as th
-from .surface import cone_patch_triangles
+from .surface import cone_coordinate, cone_patch_triangles
 
 
 class MeshQualityError(RuntimeError):
@@ -161,7 +161,7 @@ class PeriodData:
     v_tri: np.ndarray            # (g, nt) per-triangle v_i
     v_vertex: np.ndarray         # (g, nv)
     abel_vertex: np.ndarray      # (g, nv) tree-integrated Abel map
-    cone_poly: list              # per cone: (g, n_coef) Taylor coeffs of upsilon/dx
+    cone_poly: np.ndarray        # (n_cones, g, n_coef) Taylor coeffs of upsilon/dx
     abel_cone: np.ndarray        # (g, n_cones) Abel map at the cone points
     tree: tuple                  # (order, parent): BFS spanning tree from
                                  # vertex 0 that abel_vertex is integrated on
@@ -182,14 +182,7 @@ class PeriodData:
             z0 = self.mesh.tri_pos[t][0]
             return self.abel_vertex[:, int(tri[0])] + self.v_tri[:, t] * (complex(z) - z0)
         if kind == "cone":
-            _, k, x = pt
-            x = complex(x)
-            out = self.abel_cone[:, k].copy()
-            for i in range(self.genus):
-                coef = self.cone_poly[k][i]
-                out[i] += sum(coef[n] * x ** (n + 1) / (n + 1)
-                              for n in range(len(coef)))
-            return out
+            return self.cone_series(pt[1], complex(pt[2]))[1]
         raise ValueError(f"unknown point handle {pt!r}")
 
     def v(self, pt):
@@ -208,9 +201,12 @@ class PeriodData:
 
     def upsilon_dx(self, k, x):
         """(upsilon_i / dx_k)(x), the holomorphic cone-chart ratio."""
-        x = complex(x)
-        return np.array([np.polyval(self.cone_poly[k][i][::-1], x)
-                         for i in range(self.genus)])
+        return self.cone_series(k, complex(x))[0]
+
+    def cone_series(self, k, x):
+        """(upsilon_i / dx_k, Abel map) at the distinguished coordinates x of
+        cone k, from its Taylor series: two (g, *shape(x)) arrays."""
+        return _cone_series(self.cone_poly[k], self.abel_cone[:, k], x)
 
     def offset_point(self, pt, dz):
         """A point displaced by dz in the flat chart near pt (for local fits)."""
@@ -316,37 +312,22 @@ class PeriodData:
         w = int(round(float(np.sum(steps)) / (2.0 * math.pi)))
         return -1 if w % 2 else 1
 
-    def cone_loop_integral(self, k, rings=(0, 1, 2)):
+    def cone_loop_integral(self, k):
         """oint v_i v_j omega around cone k by chord quadrature of the patch
-        Abel field over mesh rings (averaged); equals 2 pi i (ups_i/dx)(P_k)
-        (ups_j/dx)(P_k) in the continuum."""
-        key = ("coneloop", k, rings)
+        Abel field over the three outermost mesh rings (averaged); equals
+        2 pi i (ups_i/dx)(P_k) (ups_j/dx)(P_k) in the continuum."""
+        key = ("coneloop", k)
         if key in self._cache:
             return self._cache[key]
-        mesh = self.mesh
-        patch = mesh.cone_patches[k]
-        cone = patch.cone
-        local = _patch_abel(mesh, patch, self.abel_vertex, self.upsilon)
-        g = self.genus
-        acc = np.zeros((g, g), dtype=complex)
-        used = 0
-        for ring in rings:
-            if ring >= len(patch.ring_radii):
-                continue
-            slots = patch.ring_slots[ring]
-            rho = patch.ring_radii[ring]
-            zs = [rho * np.exp(1j * (phi + cone.theta_ray)) for _, phi, _ in slots]
-            As = [local[:, int(v)] for v, _, _ in slots]
-            zs.append(zs[0])
-            As.append(As[0])
-            tot = np.zeros((g, g), dtype=complex)
-            for a in range(len(zs) - 1):
-                dz = zs[a + 1] - zs[a]
-                dA = As[a + 1] - As[a]
-                tot += np.outer(dA, dA) / dz
-            acc += tot
-            used += 1
-        self._cache[key] = acc / used
+        patch = self.mesh.cone_patches[k]
+        local = _patch_abel(self.mesh, patch, self.abel_vertex, self.upsilon)
+        rings = patch.ring_vertices[:3]
+        z = patch.ring_radii[:3, None] * np.exp(
+            1j * (patch.ring_phi + patch.cone.theta_ray))
+        dz = np.roll(z, -1, axis=1) - z
+        A = local[:, rings]                                  # (g, rings, slots)
+        dA = np.roll(A, -1, axis=2) - A
+        self._cache[key] = np.einsum("irn,jrn->ij", dA / dz, dA) / len(rings)
         return self._cache[key]
 
 
@@ -451,8 +432,8 @@ def _patch_abel(mesh, patch, abel_vertex, upsilon):
     anchored to the global tree at one vertex."""
     table = mesh.edge_table
     inside = np.zeros(mesh.n_vertices, dtype=bool)
-    inside[[v for slots in patch.ring_slots for v, _, _ in slots]] = True
-    root = int(patch.ring_slots[0][0][0])
+    inside[patch.ring_vertices] = True
+    root = int(patch.ring_vertices[0, 0])
     tree = _bfs_tree(table.edges[inside[table.edges].all(axis=1)],
                      mesh.n_vertices, root)
     if len(tree[0]) != inside.sum():
@@ -460,51 +441,42 @@ def _patch_abel(mesh, patch, abel_vertex, upsilon):
     return _tree_integral(table, tree, upsilon, abel_vertex[:, root])
 
 
-def _cone_charts(mesh, abel_vertex, v_vertex, upsilon, ring_use=2, n_coef=8):
-    """Taylor coefficients of upsilon/dx at each cone by FFT of the Abel map
-    over a mesh ring (Cauchy integral on the x-circle); also overwrites v at
-    the patch vertices with the analytic values."""
-    g = abel_vertex.shape[0]
-    polys, abel_c = [], []
-    for patch in mesh.cone_patches:
-        cone = patch.cone
+def _cone_charts(mesh, abel_vertex, v_vertex, upsilon):
+    """Taylor coefficients (n_cones, g, 8) of upsilon/dx and the Abel map
+    (g, n_cones) at each cone, by FFT of the Abel map over mesh ring 2
+    (Cauchy integral on the x-circle); also overwrites v at the ring vertices
+    with the analytic values."""
+    g, n_coef = abel_vertex.shape[0], 8
+    polys = np.zeros((len(mesh.cone_patches), g, n_coef), dtype=complex)
+    abel_c = np.zeros((g, len(mesh.cone_patches)), dtype=complex)
+    for k, patch in enumerate(mesh.cone_patches):
         local = _patch_abel(mesh, patch, abel_vertex, upsilon)
-        m = min(ring_use, len(patch.ring_radii) - 1)
-        slots = patch.ring_slots[m]
-        rho = patch.ring_radii[m]
-        R = math.sqrt(2.0 * rho)
-        nslot = len(slots)
-        phis = np.array([s[1] for s in slots])
-        xarg = 0.5 * (phis + cone.theta_ray)            # uniform, step 2 pi/nslot
-        A = local[:, [int(v) for v, _, _ in slots]]     # (g, nslot)
-        coefs = np.empty((g, n_coef), dtype=complex)
-        a0 = np.empty(g, dtype=complex)
-        nmax = min(n_coef + 1, nslot // 2)
-        for i in range(g):
-            fft = np.fft.fft(A[i]) / nslot
-            # A(x) = sum_n c_n x^n at x = R e^{i(arg0 + 2 pi m/N)}:
-            # FFT bin n = c_n R^n e^{i n arg0}
-            c = np.zeros(n_coef + 1, dtype=complex)
-            for n in range(nmax):
-                c[n] = fft[n] / (R ** n * np.exp(1j * n * xarg[0]))
-            a0[i] = c[0]
-            coefs[i] = [(n + 1) * c[n + 1] for n in range(n_coef)]
-        polys.append(coefs)
-        abel_c.append(a0)
-        # fix v at patch vertices using the analytic chart
-        fixed = set()
-        for mm, slots_m in enumerate(patch.ring_slots):
-            rho_m = patch.ring_radii[mm]
-            for (vid, phi, torus) in slots_m:
-                if vid in fixed:
-                    continue
-                x = math.sqrt(2.0 * rho_m) * np.exp(0.5j * (phi + cone.theta_ray))
-                e = np.array([np.polyval(coefs[i][::-1], x) for i in range(g)])
-                v_vertex[:, vid] = e / x
-                fixed.add(vid)
-    if abel_c:
-        return polys, np.array(abel_c).T, v_vertex
-    return polys, np.zeros((g, 0), dtype=complex), v_vertex
+        R = math.sqrt(2.0 * patch.ring_radii[2])       # every patch has >= 3
+        n_slot = 2 * patch.n_ang
+        fft = np.fft.fft(local[:, patch.ring_vertices[2]], axis=1) / n_slot
+        # A(x) = sum_n c_n x^n at x = R e^{i(theta_ray + 2 pi j/N)/2}:
+        # FFT bin n = c_n R^n e^{i n theta_ray/2}
+        n = np.arange(min(n_coef + 1, n_slot // 2))
+        c = np.zeros((g, n_coef + 1), dtype=complex)
+        arg0 = 0.5 * patch.cone.theta_ray
+        c[:, n] = fft[:, n] / (R ** n * np.exp(1j * n * arg0))
+        abel_c[:, k] = c[:, 0]
+        polys[k] = np.arange(1, n_coef + 1) * c[:, 1:]
+        x = cone_coordinate(patch.cone, patch.ring_radii[:, None], patch.ring_phi)
+        ratio, _ = _cone_series(polys[k], abel_c[:, k], x)
+        v_vertex[:, patch.ring_vertices] = ratio / x
+    return polys, abel_c, v_vertex
+
+
+def _cone_series(coef, abel0, x):
+    """upsilon/dx and the Abel map at the distinguished coordinates x of one
+    cone, from the Taylor coefficients coef (g, n) of upsilon/dx there and the
+    Abel map abel0 (g,) at the cone: two (g, *shape(x)) arrays."""
+    n = coef.shape[1]
+    powers = np.asarray(x, dtype=complex)[..., None] ** np.arange(n + 1)
+    ratio = powers[..., :n] @ coef.T
+    abel = abel0 + powers[..., 1:] @ (coef / np.arange(1, n + 1)).T
+    return np.moveaxis(ratio, -1, 0), np.moveaxis(abel, -1, 0)
 
 
 def dual_cycle_integral(periods: PeriodData, i, j, nu):

@@ -130,11 +130,11 @@ def build_sign_lift(mesh, spin: SpinStructure) -> SignLift:
     return SignLift(mesh=mesh, spin=spin, eta=eta, edge_sign=edge_sign)
 
 
-def cone_loop_sign(lift: SignLift, patch, ring=1):
-    """Edge-sign product around one mesh ring encircling a cone point."""
-    slots = patch.ring_slots[min(ring, len(patch.ring_slots) - 1)]
-    path = [v for v, _, _ in slots] + [slots[0][0]]
-    return lift.loop_sign(path)
+def cone_loop_sign(lift: SignLift, patch):
+    """Edge-sign product around the second-outermost mesh ring encircling a
+    cone point."""
+    ring = patch.ring_vertices[1]
+    return lift.loop_sign(np.append(ring, ring[0]))
 
 
 def sample_contractible_loops(mesh, rng, count=40):

@@ -44,7 +44,7 @@ from scipy.sparse import csgraph
 from scipy.special import exp1
 
 from .cone_analysis import pencil_coefficients
-from .surface import patch_triangle_ids, slit_sign
+from .surface import cone_angle, patch_triangle_ids, slit_sign
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -149,14 +149,6 @@ class DiscreteOperator:
         return self.stiffness.shape[0]
 
 
-def _phi_at(cone, patch, chart, z):
-    """4 pi angle of flat points z near `cone`, seen from the charts `chart`
-    (broadcast against z)."""
-    zeta = np.asarray(z) - cone.position
-    delta = (np.angle(zeta) - cone.theta_ray) % (2.0 * math.pi)
-    return delta + 2.0 * math.pi * (np.asarray(chart) != patch.sheet_tori[0])
-
-
 def assemble_operator(mesh, lift, extension, periods=None, char=None,
                       cutoff=(0.35, 0.85)):
     """Stiffness/mass pair for the requested extension.
@@ -258,23 +250,33 @@ def _cone_mode_fields(mesh, k, modes, tris, cutoff):
     dbar at the 7 quadrature points of the triangles `tris` around cone k:
     two (T, 7, len(modes)) arrays."""
     patch = mesh.cone_patches[k]
+    zq = np.einsum("qc,tc->tq", _QB, mesh.tri_pos[tris])
+    zeta = zq - patch.cone.position
+    r = np.abs(zeta)
+    phi = cone_angle(patch.cone, zeta,
+                     mesh.tri_chart[tris][:, None] != patch.sheet_tori[0])
+    E, f_gr = _cone_mode_values(patch, modes, r, phi, cutoff)
+    # f is holomorphic in x, so dbar(g(r) f) = f g'(r) dbar(r)
+    dbar_r = zeta / (2.0 * np.where(r > 0, r, 1.0))
+    return E, f_gr * dbar_r[..., None]
+
+
+def _cone_mode_values(patch, modes, r, phi, cutoff):
+    """The cutoff cone modes g(r) f_{k,m,s}, g = chi(r) (r/r0)^p, of `modes`
+    = [(m, s, p)] at the flat polar points (r, phi) of a cone patch, and
+    f_{k,m,s} g'(r): two (*shape, len(modes)) arrays."""
     cone = patch.cone
     r0 = patch.outer_radius
     r1, r2 = cutoff[0] * r0, cutoff[1] * r0
-    zq = np.einsum("qc,tc->tq", _QB, mesh.tri_pos[tris])
-    zeta = zq - cone.position
-    r = np.abs(zeta)
-    phi = _phi_at(cone, patch, mesh.tri_chart[tris][:, None], zq)
     chi, chi_r = smoothstep(r, r1, r2), smoothstep_deriv(r, r1, r2)
-    dbar_r = zeta / (2.0 * np.where(r > 0, r, 1.0))
-    E, dE = [], []
+    E, f_gr = [], []
     for m, sgn, pw in modes:
         f = cone_mode_phase(m, sgn, cone.theta_ray) * cone_mode_rep(m, sgn, r, phi)
         gp = (chi_r * (r / r0) ** pw + chi * pw * r ** (pw - 1.0) / r0 ** pw
               if pw else chi_r)
         E.append(chi * (r / r0) ** pw * f)
-        dE.append(f * gp * dbar_r)
-    return np.stack(E, axis=-1), np.stack(dE, axis=-1)
+        f_gr.append(f * gp)
+    return np.stack(E, axis=-1), np.stack(f_gr, axis=-1)
 
 
 def _border_triplets(dofs, cols, wq, hat, E):
@@ -375,27 +377,11 @@ class SpectralResult:
     vectors: np.ndarray = None
     op: DiscreteOperator = None
     label: str = ""
-    cone_coefficients: dict = None     # filled by extract_singular_coefficients
     requested: int = None              # N passed to eigenvalues(), before
                                        # its clamp to n_dofs
     krylov_dim: int = None             # Lanczos steps the eigensolve took
     residual_bound: float = None       # largest relative Ritz bound of the
                                        # returned pairs (0 when exact)
-
-    def extract_cone_coefficients(self, modes, cones=None):
-        """Populate cone_coefficients[(mode, k)] for selected eigenfunctions."""
-        if self.vectors is None or self.op is None:
-            raise ValueError("needs vectors=True eigensolve with the operator")
-        cones = cones if cones is not None else range(len(self.op.mesh.cone_patches))
-        out = {}
-        for mode in modes:
-            u = self.vectors[:, mode]
-            u = u / np.sqrt(abs(np.vdot(u, self.op.mass @ u)))
-            for k in cones:
-                out[(mode, k)] = extract_singular_coefficients(
-                    self.op, u, self.eigenvalues[mode], k)
-        self.cone_coefficients = out
-        return out
 
     def positive(self, zero_tol_factor=1e-8):
         """Eigenvalues with the numerical kernel removed."""
@@ -577,92 +563,57 @@ def richardson_eigenvalues(res_coarse: SpectralResult, res_fine: SpectralResult)
 # ---------------------------------------------------------------------------
 # singular coefficient extraction
 
-def extract_singular_coefficients(op: DiscreteOperator, u, lam, k,
-                                  rings_use=None, n_lambda_terms=3):
+def extract_singular_coefficients(op: DiscreteOperator, u, lam, k):
     """Coefficients c_{k,m,+-} (m = -1..2) of the Darboux modes in the cone-k
     expansion of the discrete eigenfunction u (dof vector, eigenvalue lam).
 
-    Ring values are unwrapped to the continuous 4 pi representative, projected
-    on the angular frequencies (2m-1)/4 by FFT, and the two radial profiles
-    r^{+-nu} (with their lambda-correction series) are separated by least
-    squares over several ring radii.  Returns {(m, s): c} plus a fit residual
-    under key 'residual'.
+    u is first mass-normalized and its phase fixed (its largest dof real
+    positive), so the coefficients do not depend on the scale of u.  Ring
+    values, with the enrichment added, are unwrapped to the continuous 4 pi
+    representative, projected on the angular frequencies (2m-1)/4 by FFT,
+    and the two radial profiles r^{+-nu} (with their lambda-correction
+    series) are separated by least squares over the rings inside the
+    enrichment cutoff, at least three of them.  Returns {(m, s): c} plus a
+    fit residual under key 'residual'.
     """
-    mesh = op.mesh
-    patch = mesh.cone_patches[k]
-    cone = patch.cone
-    if rings_use is None:
-        # fit where the enrichment cutoff is identically 1, so the pure-mode
-        # radial model is exact; rings are ordered outermost first
-        r1 = op.cutoff[0] * patch.outer_radius
-        n = len(patch.ring_radii)
-        n_ok = sum(1 for rho in patch.ring_radii if rho <= r1 * 1.0001)
-        rings_use = list(range(n - max(3, n_ok), n))
+    patch = op.mesh.cone_patches[k]
+    theta_ray = patch.cone.theta_ray
+    u = np.asarray(u) / np.sqrt(abs(np.vdot(u, op.mass @ u)))
+    top = u[np.argmax(np.abs(u))]
+    u = u * (abs(top) / top)
+    # fit where the enrichment cutoff is identically 1, so the pure-mode
+    # radial model is exact; rings are ordered outermost first
+    r1 = op.cutoff[0] * patch.outer_radius
+    rings = slice(-max(3, np.count_nonzero(patch.ring_radii <= r1 * 1.0001)), None)
+    radii, phi = patch.ring_radii[rings], patch.ring_phi
 
-    modes = [(-1, +1), (0, +1), (1, +1), (2, +1),
-             (-1, -1), (0, -1), (1, -1), (2, -1)]
-    by_freq = {}
-    for m, s in modes:
-        nu = (2 * m - 1) / 4.0
-        by_freq.setdefault(nu, []).append((m, s))
-
-    # angular projections per ring
-    proj = {}
-    radii = []
-    for ring in rings_use:
-        slots = patch.ring_slots[ring]
-        rho = patch.ring_radii[ring]
-        # gauge sign per slot mapping dof values to the continuous 4 pi rep
-        vids, _, tori = zip(*slots)
-        gauge = slit_sign(mesh, list(vids), list(tori))
-        vals = []
-        for (vid, phi, torus), gsl in zip(slots, gauge):
-            dof = int(op.dof_of_vertex[int(vid)])
-            val = gsl * (u[dof] if dof >= 0 else 0.0)
-            for ent in op.enrichment:
-                if ent["cone"] != k or ent["mode"] == "szego":
-                    continue
-                m, s, pw = ent["mode"]
-                r0 = patch.outer_radius
-                g = smoothstep(rho, op.cutoff[0] * r0, op.cutoff[1] * r0) * \
-                    (rho / r0) ** pw
-                f = cone_mode_phase(m, s, cone.theta_ray) * \
-                    cone_mode_rep(m, s, rho, phi)
-                val = val + u[ent["col"]] * g * f
-            vals.append(val)
-        vals = np.asarray(vals, dtype=complex)
-        phis = np.array([phi for _, phi, _ in slots])
-        # anti-periodic unwrap: multiply by e^{-i phi/4}, FFT bins at n/2
-        g = vals * np.exp(-0.25j * phis)
-        fft = np.fft.fft(g) / len(g)
-        coeffs = {}
-        for nu in by_freq:
-            bin_freq = nu - 0.25           # in units of 1/2 per bin
-            n_bin = int(round(bin_freq * 2))
-            coeffs[nu] = fft[n_bin % len(g)]
-        proj[ring] = coeffs
-        radii.append(rho)
+    # ring values in the continuous 4 pi representative: the slit gauge sign
+    # of each P1 dof, plus the cone's own enrichment modes
+    verts = patch.ring_vertices[rings]
+    vals = (slit_sign(op.mesh, verts, patch.ring_tori)
+            * u[op.dof_of_vertex[verts]])
+    ents = [e for e in op.enrichment if e["cone"] == k and e["mode"] != "szego"]
+    if ents:
+        E, _ = _cone_mode_values(patch, [e["mode"] for e in ents],
+                                 radii[:, None], phi, op.cutoff)
+        vals = vals + E @ u[[e["col"] for e in ents]]
+    # anti-periodic unwrap: multiply by e^{-i phi/4}, FFT bins at n/2
+    fft = np.fft.fft(vals * np.exp(-0.25j * phi), axis=1) / len(phi)
 
     out = {}
     resid_tot = 0.0
-    for nu, mode_pair in by_freq.items():
-        rows, rhs = [], []
-        for ring, rho in zip(rings_use, radii):
-            row = []
-            for m, s in mode_pair:
-                base = cone_mode_phase(m, s, cone.theta_ray) * \
-                    cone_mode_rep(m, s, rho, 0.0)     # radial part at phi=0
-                corr = cone_mode_lambda_series(m, s, lam, rho, n_lambda_terms)
-                row.append(base * corr)
-            rows.append(row)
-            rhs.append(proj[ring][nu])
-        rows = np.array(rows, dtype=complex)
-        rhs = np.array(rhs, dtype=complex)
-        sol, res, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
-        fit = rows @ sol
-        resid_tot += float(np.sum(np.abs(fit - rhs) ** 2))
-        for (m, s), c in zip(mode_pair, sol):
-            out[(m, s)] = complex(c)
+    for m in (-1, 0, 1, 2):
+        pair = ((m, +1), (m, -1))
+        # the radial parts (phi = 0) of the pair with their lambda series
+        rows = np.stack([cone_mode_phase(*mode, theta_ray)
+                         * cone_mode_rep(*mode, radii, 0.0)
+                         * cone_mode_lambda_series(*mode, lam, radii)
+                         for mode in pair], axis=1)
+        # e^{i nu phi} e^{-i phi/4}, nu = (2m-1)/4, sits in FFT bin m - 1
+        rhs = fft[:, (m - 1) % len(phi)]
+        sol = np.linalg.lstsq(rows, rhs, rcond=None)[0]
+        resid_tot += float(np.sum(np.abs(rows @ sol - rhs) ** 2))
+        out.update({mode: complex(c) for mode, c in zip(pair, sol)})
     out["residual"] = math.sqrt(resid_tot)
     return out
 

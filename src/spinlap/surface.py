@@ -249,17 +249,36 @@ def flat_area(surf: TranslationSurface) -> float:
 
 @dataclass
 class ConePatch:
-    """Graded polar neighbourhood of one cone point inside the mesh."""
+    """Graded polar neighbourhood of one cone point inside the mesh.
+
+    ring_vertices[m, i] is the mesh vertex at flat distance ring_radii[m]
+    from the cone (rings outermost first) and at the 4 pi angle
+    phi_i = 2 pi i / n_ang (ring_phi) from the sign-flip gluing curve, on the
+    torus sheet_tori[i >= n_ang] (ring_tori).  Columns 0 and n_ang are the two
+    copies of the slit node at that distance; in the flat chart of its torus
+    the vertex sits at P + ring_radii[m] exp(i (phi_i + theta_ray)).
+    """
     cone: ConePoint
     center_vertex: int
     sheet_tori: tuple            # (torus covering phi in [0,2pi), torus for [2pi,4pi))
-    ring_radii: list             # outermost first
-    ring_slots: list             # per ring: list of (vertex, phi, torus) of length 2*n_ang
+    ring_radii: np.ndarray       # (n_rings,) outermost first
+    ring_vertices: np.ndarray    # (n_rings, 2 n_ang) vertex ids
     n_ang: int
 
     @property
     def outer_radius(self):
         return self.ring_radii[0]
+
+    @property
+    def ring_phi(self):
+        """The 4 pi angle of each ring column, (2 n_ang,)."""
+        return 2.0 * math.pi * np.arange(2 * self.n_ang) / self.n_ang
+
+    @property
+    def ring_tori(self):
+        """The torus of each ring column, (2 n_ang,)."""
+        return np.where(np.arange(2 * self.n_ang) < self.n_ang,
+                        *self.sheet_tori)
 
 
 class EdgeTable:
@@ -372,7 +391,7 @@ class SpinMesh:
             json.dump(self.to_dict(), f)
 
 
-def distinguished_chart(surf: TranslationSurface, k: int, q, mesh=None):
+def distinguished_chart(surf: TranslationSurface, k: int, q):
     """Distinguished coordinate x_k at cone point k for q = (torus, z, sheet_hint).
 
     q may be a tuple (torus_id, z) or (torus_id, z, sheet) where sheet in
@@ -394,13 +413,24 @@ def distinguished_chart(surf: TranslationSurface, k: int, q, mesh=None):
     sl = surf.slits[cone.slit_index]
     if r > 0.49 * sl.length:
         raise OutOfChartError("point outside the double-disk chart")
-    sheet0, sheet1 = _sheet_tori(cone, surf)
-    flag = 0 if torus_id == sheet0 else 1
-    if sheet is not None:
-        flag = int(sheet)
-    delta = (np.angle(zeta) - cone.theta_ray) % (2.0 * math.pi)
-    phi = delta + 2.0 * math.pi * flag
-    return math.sqrt(2.0 * r) * np.exp(0.5j * (phi + cone.theta_ray))
+    if sheet is None:
+        sheet = torus_id != _sheet_tori(cone, surf)[0]
+    return cone_coordinate(cone, r, cone_angle(cone, zeta, int(sheet)))
+
+
+def cone_angle(cone: ConePoint, zeta, sheet):
+    """The 4 pi angle phi in [0, 4 pi) of flat offsets zeta = z - P from the
+    cone, seen on sheet 0 (phi < 2 pi) or 1 of its double disk (broadcast
+    together).  phi is measured counterclockwise from the sign-flip gluing
+    curve, so the slit ray reads phi = 0 on sheet 0."""
+    return ((np.angle(zeta) - cone.theta_ray) % (2.0 * math.pi)
+            + 2.0 * math.pi * np.asarray(sheet))
+
+
+def cone_coordinate(cone: ConePoint, r, phi):
+    """The distinguished coordinate x = sqrt(2 r) exp(i (phi + theta_ray)/2)
+    of the flat polar points (r, phi) at the cone, so that x^2/2 = z - P."""
+    return np.sqrt(2.0 * r) * np.exp(0.5j * (phi + cone.theta_ray))
 
 
 def _sheet_tori(cone: ConePoint, surf: TranslationSurface):
@@ -779,30 +809,24 @@ def _build_cone_patches(surf, ring_vid, slit_chains, ring_radii, n_ang):
         s = cone.slit_index
         chain = slit_chains[s]
         sheet0, sheet1 = _sheet_tori(cone, surf)
-        rings = len(ring_radii[s])
-        slots_all = []
-        for m in range(rings):
-            # the slit node at distance ring_radii[s][m] from this endpoint
-            node = rings - 1 - m if cone.end == 0 else len(chain["copy0"]) - rings + m
-            slots = [(chain["copy0"][node], 0.0, sheet0)]
-            slots += [(v, 2.0 * math.pi * i / n_ang, sheet0) for i, v in
-                      enumerate(ring_vid[(sheet0, cone.index)][m].tolist(), 1)]
-            slots.append((chain["copy1"][node], 2.0 * math.pi, sheet1))
-            slots += [(v, 2.0 * math.pi * (1.0 + i / n_ang), sheet1) for i, v in
-                      enumerate(ring_vid[(sheet1, cone.index)][m].tolist(), 1)]
-            slots_all.append(slots)
+        m = np.arange(len(ring_radii[s]))
+        # the slit node at distance ring_radii[s][m] from this endpoint
+        node = (len(m) - 1 - m if cone.end == 0
+                else len(chain["copy0"]) - len(m) + m)
+        ring_vertices = np.column_stack([
+            np.asarray(chain["copy0"])[node], ring_vid[(sheet0, cone.index)],
+            np.asarray(chain["copy1"])[node], ring_vid[(sheet1, cone.index)]])
         patches.append(ConePatch(cone=cone, center_vertex=cone.index,
                                  sheet_tori=(sheet0, sheet1),
-                                 ring_radii=list(ring_radii[s]),
-                                 ring_slots=slots_all, n_ang=n_ang))
+                                 ring_radii=np.array(ring_radii[s]),
+                                 ring_vertices=ring_vertices, n_ang=n_ang))
     return patches
 
 
 def _patch_vertices(mesh):
     """The cone vertices and the vertices of their rings."""
-    return np.array([p.center_vertex for p in mesh.cone_patches]
-                    + [v for p in mesh.cone_patches for slots in p.ring_slots
-                       for v, _, _ in slots], dtype=int)
+    return np.concatenate([np.array(mesh.cone_vertex_ids(), dtype=int)]
+                          + [p.ring_vertices.ravel() for p in mesh.cone_patches])
 
 
 def find_torus_cycle(mesh, torus, which, vertex_cost=None):
@@ -911,30 +935,31 @@ def patch_triangle_ids(mesh: SpinMesh, k: int, radius: float):
     return np.flatnonzero(near & np.isin(mesh.tri_chart, cone.incident_tori))
 
 
-def cone_patch_triangles(mesh: SpinMesh, radius_factor: float = 1.02):
+def cone_patch_triangles(mesh: SpinMesh):
     """Per cone patch, the triangles inside it with their corner coordinates
     in the distinguished chart.
 
     Returns a list (one entry per patch) of pairs (ids, x_corners): the
-    triangles within radius_factor times the patch's outer radius, and their
-    (n, 3) corner positions in the x-chart (x^2/2 = z - P, sheet-aware,
-    branch cut along the slit ray).  Corners on the ray are disambiguated by
-    the triangle side; the cone vertex maps to 0.
+    triangles within 1.02 times the patch's outer radius, and their (n, 3)
+    corner positions in the x-chart (x^2/2 = z - P, sheet-aware, branch cut
+    along the slit ray).  Corners on the ray are disambiguated by the
+    triangle side; the cone vertex maps to 0.
     """
     out = []
     for k, patch in enumerate(mesh.cone_patches):
         cone = patch.cone
-        ids = patch_triangle_ids(mesh, k, patch.outer_radius * radius_factor)
+        ids = patch_triangle_ids(mesh, k, patch.outer_radius * 1.02)
         zeta = mesh.tri_pos[ids] - cone.position
         r = np.hypot(zeta.real, zeta.imag)
-        sheet = mesh.tri_chart[ids] != patch.sheet_tori[0]
+        sheet = (mesh.tri_chart[ids] != patch.sheet_tori[0])[:, None]
+        phi = cone_angle(cone, zeta, sheet)
         left_of_ray = (zeta.mean(axis=1) / np.exp(1j * cone.theta_ray)).imag > 0
-        delta = (np.angle(zeta) - cone.theta_ray) % (2.0 * math.pi)
-        on_ray = np.minimum(delta, 2.0 * math.pi - delta) < 1e-9
-        delta = np.where(on_ray, np.where(left_of_ray, 0.0, 2.0 * math.pi)[:, None],
-                         delta)
-        phi = delta + 2.0 * math.pi * sheet[:, None]
-        x = np.sqrt(2.0 * r) * np.exp(0.5j * (phi + cone.theta_ray))
+        # a corner on the ray takes the angle of its triangle's side of it
+        turns = np.round(phi / (2.0 * math.pi))
+        on_ray = np.abs(phi - 2.0 * math.pi * turns) < 1e-9
+        phi = np.where(on_ray, np.where(left_of_ray, 0.0, 2.0 * math.pi)[:, None]
+                       + 2.0 * math.pi * sheet, phi)
+        x = cone_coordinate(cone, r, phi)
         x[r < 1e-14] = 0.0
         out.append((ids, x))
     return out

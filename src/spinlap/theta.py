@@ -262,11 +262,6 @@ def heat_equation_residual(char, xi, B, tol=1e-13):
 # ---------------------------------------------------------------------------
 # prime form and Szego kernel
 
-def h_delta(delta, periods, pt):
-    """Continuous branch of sqrt(sum_i d_i theta[delta](0) v_i(pt))."""
-    return periods.h_delta(delta, pt)
-
-
 def choose_odd_characteristic(periods, pts, h_tol=1e-8):
     """First odd characteristic whose h_delta is bounded away from 0 at pts."""
     for delta in odd_characteristics(periods.genus):
@@ -288,7 +283,7 @@ def prime_form(periods, x, y, delta=None):
         delta = choose_odd_characteristic(periods, (x, y))
     w = periods.abel(y) - periods.abel(x)
     num = theta(delta, w, periods.b_matrix)
-    return num / (h_delta(delta, periods, x) * h_delta(delta, periods, y))
+    return num / (periods.h_delta(delta, x) * periods.h_delta(delta, y))
 
 
 def szego_kernel(char, periods, z, zp, delta=None, theta0_tol=1e-10):

@@ -171,14 +171,12 @@ def test_criterion_6_scattering_asymptotics():
 # -- 7: T(0) structure ---------------------------------------------------------------
 
 @pytest.mark.slow
-def test_criterion_7_t0_structure(g2_surface_s, g2_periods_fine, g2_even_spins,
-                                  g2_mesh_fine):
-    spin, char = g2_even_spins[0]
+def test_criterion_7_t0_structure(g2_surface_s, g2_periods_fine, g2_even_spins):
+    _, char = g2_even_spins[0]
     data = det.t_matrix_zero(g2_surface_s, g2_periods_fine, char)
     herm = data.hermiticity_defect()
     mineig = data.min_eigenvalue()
-    lift = hs.build_sign_lift(g2_mesh_fine, spin)
-    direct = det.szego_norm_direct(g2_periods_fine, char, lift, 0)
+    direct = det.szego_norm_direct(g2_periods_fine, char, 0)
     ref = math.pi ** 2 * data.t0[0, 0].real
     combined = math.pi ** 2 * data.quadrature_error + 0.02 * ref
     _report(7, "T(0) Hermitian PD + diagonal cross-check",
@@ -250,9 +248,8 @@ def test_criterion_10_extension_signatures(g2_mesh_fine, g2_periods_fine,
     resS = spec.eigenvalues(opS, 4, vectors=True)
 
     def coef(op, res, mode_idx, k):
-        u = res.vectors[:, mode_idx]
-        u = u / np.sqrt(abs(np.vdot(u, op.mass @ u)))
-        return spec.extract_singular_coefficients(op, u, res.eigenvalues[mode_idx], k)
+        return spec.extract_singular_coefficients(
+            op, res.vectors[:, mode_idx], res.eigenvalues[mode_idx], k)
 
     # within-eigenfunction ratios: the excluded mode of each extension against
     # the admitted one of the same pair (suppression > 10x <=> ratio < 0.1)

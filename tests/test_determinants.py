@@ -40,8 +40,8 @@ def test_t0_sgram_relation(g2_t0):
 
 
 def test_t0_diagonal_cross_check(g2_t0):
-    _, pd, _, char, lift, data = g2_t0
-    direct = det.szego_norm_direct(pd, char, lift, 0)
+    _, pd, _, char, _, data = g2_t0
+    direct = det.szego_norm_direct(pd, char, 0)
     ref = math.pi ** 2 * data.t0[0, 0].real
     combined = math.pi ** 2 * data.quadrature_error + 0.02 * ref
     assert abs(direct - ref) < combined
@@ -119,8 +119,8 @@ def test_bergman_projection_idempotent(g2_t0):
     """S-Gram^{-1} times the independently quadratured Gram of the kernel
     fields is the identity (the reproducing property of B^h in matrix form:
     the projection with kernel B^h acts as the identity on span{S(., P_k)})."""
-    _, pd, _, char, lift, data = g2_t0
-    gram = det.s_gram_direct(pd, char, lift)
+    _, pd, _, char, _, data = g2_t0
+    gram = det.s_gram_direct(pd, char)
     proj = np.linalg.inv(data.s_gram) @ gram
     assert np.max(np.abs(proj - np.eye(2))) < 0.03
 

@@ -408,9 +408,16 @@ def test_szego_zeta_smoke(g2_coarse):
     assert info["c0"] == spec.c0_theory("szego", 2)
 
 
-def test_extract_cone_coefficients_api(g2_coarse):
+def test_singular_coefficients_ignore_the_scale_of_u(g2_coarse):
     mesh, _, _, _, lift = g2_coarse
-    res = spec.eigenvalues(spec.assemble_operator(mesh, lift, "friedrichs"), 4,
-                           vectors=True)
-    out = res.extract_cone_coefficients(modes=(0,), cones=(0,))
-    assert (0, 0) in out and "residual" in out[(0, 0)]
+    for ext in ("friedrichs", "szego"):
+        op = spec.assemble_operator(mesh, lift, ext)
+        res = spec.eigenvalues(op, 2, vectors=True)
+        u, lam = res.vectors[:, 1], res.eigenvalues[1]
+        for k in (0, 1):
+            ref = spec.extract_singular_coefficients(op, u, lam, k)
+            got = spec.extract_singular_coefficients(op, (3 - 2j) * u, lam, k)
+            assert set(got) == set(ref) and len(ref) == 9
+            scale = max(abs(c) for c in ref.values())
+            for key, c in ref.items():
+                assert abs(got[key] - c) <= 1e-12 * scale

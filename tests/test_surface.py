@@ -236,14 +236,40 @@ def test_mesh_areas_sum_to_flat_area(g2_mesh):
     assert abs(total - sf.flat_area(g2_mesh.surface)) < 1e-10
 
 
-def test_ring_slots_structure(g2_mesh):
-    for patch in g2_mesh.cone_patches:
-        for slots in patch.ring_slots:
-            assert len(slots) == 2 * patch.n_ang
-            phis = [phi for _, phi, _ in slots]
-            assert phis == sorted(phis)
-            assert phis[0] == 0.0
-            assert abs(phis[len(slots) // 2] - 2 * math.pi) < 1e-14
+_G2_MODULI = sf.ModuliPoint(genus=2, A=[1.0, 1.0], B=[1j, 2j], C=[0.2, 0.5])
+_G3_MODULI = sf.ModuliPoint(genus=3, A=[1.0, 1.6, 1.0], B=[1.3j, 1.3j, 1.3j],
+                            C=[0.15, 0.5, 0.75, 1.1])
+
+
+@pytest.mark.parametrize("moduli, h", [
+    (_G2_MODULI, 0.04), (_G2_MODULI, 0.02), (_G3_MODULI, 0.045)],
+    ids=["g2-h0.04", "g2-h0.02", "g3-h0.045"])
+def test_ring_vertices_lie_at_their_polar_angle(moduli, h):
+    # ring m, column i: the vertex sits at P + rho_m e^{i(phi_i + theta_ray)}
+    # with phi_i = 2 pi i / n_ang, modulo the lattice of sheet_tori[i >= n_ang]
+    surf = sf.build_surface(moduli)
+    mesh = sf.generate_mesh(surf, h=h)
+    z = mesh.vertices[:, 0] + 1j * mesh.vertices[:, 1]
+    for patch in mesh.cone_patches:
+        n = patch.n_ang
+        assert patch.ring_vertices.shape == (len(patch.ring_radii), 2 * n)
+        phi = 2 * math.pi * np.arange(2 * n) / n
+        assert np.allclose(patch.ring_phi, phi, rtol=0, atol=1e-14)
+        torus = np.where(np.arange(2 * n) >= n, patch.sheet_tori[1],
+                         patch.sheet_tori[0])
+        assert np.array_equal(patch.ring_tori, torus)
+        off_slit = np.arange(2 * n) % n != 0       # columns 0, n: slit copies
+        charts = mesh.vertex_chart[patch.ring_vertices]
+        assert np.all(charts[:, off_slit] == torus[off_slit])
+        want = (patch.cone.position + patch.ring_radii[:, None]
+                * np.exp(1j * (patch.ring_phi + patch.cone.theta_ray)))
+        d = z[patch.ring_vertices] - want
+        for i in range(2 * n):
+            a, b = surf.tori[patch.ring_tori[i]]
+            st = np.linalg.solve([[a.real, b.real], [a.imag, b.imag]],
+                                 [d[:, i].real, d[:, i].imag])
+            off = d[:, i] - (np.round(st[0]) * a + np.round(st[1]) * b)
+            assert np.max(np.abs(off)) < 1e-12
 
 
 def test_serialization_roundtrip(g2_mesh, tmp_path):
@@ -258,8 +284,7 @@ def test_serialization_roundtrip(g2_mesh, tmp_path):
 
 
 def test_genus3_build_and_mesh():
-    m3 = sf.ModuliPoint(genus=3, A=[1.0, 1.6, 1.0], B=[1.3j, 1.3j, 1.3j],
-                        C=[0.15, 0.5, 0.75, 1.1])
+    m3 = _G3_MODULI
     s3 = sf.build_surface(m3)
     assert len(s3.slits) == 2
     assert len(s3.cone_points) == 4
