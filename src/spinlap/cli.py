@@ -196,12 +196,11 @@ def cmd_spectrum(args):
     heat = []
     if args.extension in ("friedrichs", "szego"):
         lam = res.positive()
-        cutoff = lam[-1] + math.pi / (2 * res.area)
-        for t in np.geomspace(16.0 / cutoff, 2.0 / lam[0], args.n_t):
-            try:
-                heat.append({"t": float(t), "K": spec.heat_trace(res, float(t))})
-            except spec.WindowError:
-                continue
+        # the grid starts inside the window [2/cutoff, inf) of heat_trace
+        ts = np.geomspace(16.0 / spec._weyl_cutoff(lam, res.area),
+                          2.0 / lam[0], args.n_t)
+        heat = [{"t": float(t), "K": float(k)}
+                for t, k in zip(ts, spec.heat_trace(res, ts))]
         try:
             ld, err, info = spec.zeta_determinant(res)
             payload["zeta"] = {"log_det": ld, "err": err,

@@ -44,21 +44,14 @@ GAMMA_1_4 = float(gamma(0.25))
 # pencil coefficient recurrences
 
 def pencil_coefficients(n: int, q: complex) -> complex:
-    """d(n, q) with d(0, q) = 1 and -n(q + n) d(n, q) = d(n-1, q).
+    """d(n, q) with d(0, q) = 1 and -n(q + n) d(n, q) = d(n-1, q): the flat
+    (b = 0, p = 0) case of general_cone_coefficients.
 
     These are the coefficients of the local (Delta - lambda)-harmonic series
     f * sum_n d(n, q) (lambda |x|^4 / 4)^n attached to the angular exponent q.
     Raises ResonanceError if q + k = 0 for some 1 <= k <= n.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    d = 1.0 + 0.0j
-    for k in range(1, n + 1):
-        denom = -k * (q + k)
-        if denom == 0:
-            raise ResonanceError(f"resonant exponent: q + {k} = 0")
-        d = d / denom
-    return d
+    return complex(general_cone_coefficients(0.0, q, n, 0.0))
 
 
 def general_cone_coefficients(p: float, q: float, j: int, b: float) -> float:
@@ -122,7 +115,7 @@ def _gauss_panels(s_max: float, n_panel: int, order: int = 20):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def carslaw_kernel(r, phi, rp, phip, t, alpha, s_max=None, n_panel=None):
+def carslaw_kernel(r, phi, rp, phip, t, alpha):
     """alpha-periodic heat kernel H_per(r, phi, r', phi', t | alpha) on the cone.
 
     Deformed-contour evaluation: image-source residues at theta_k = k*alpha -
@@ -158,13 +151,11 @@ def carslaw_kernel(r, phi, rp, phip, t, alpha, s_max=None, n_panel=None):
     inside = thetas[np.abs(thetas) < c]
     res_sum = np.sum(np.exp(-(r * r - 2.0 * r * rp * np.cos(inside) + rp * rp) / t))
 
-    # quadrature along the two lines, folded to s >= 0 via G(+-c, -s) = conj(G(+-c, s))
-    if s_max is None:
-        # the integrand decays at least like exp(-2 pi s/alpha) * gaussian
-        s_max = max(12.0, alpha / (2.0 * math.pi) * 40.0)
-    if n_panel is None:
-        n_panel = max(10, int(s_max / 1.2))
-    s, w = _gauss_panels(s_max, n_panel)
+    # quadrature along the two lines, folded to s >= 0 via G(+-c, -s) =
+    # conj(G(+-c, s)); the integrand decays at least like
+    # exp(-2 pi s/alpha) * gaussian
+    s_max = max(12.0, alpha / (2.0 * math.pi) * 40.0)
+    s, w = _gauss_panels(s_max, max(10, int(s_max / 1.2)))
 
     def g_line(x0):
         cos_theta = math.cos(x0) * np.cosh(s) - 1j * math.sin(x0) * np.sinh(s)
@@ -181,32 +172,34 @@ def antiperiodic_kernel_contour(r, phi, rp, phip, t, alpha):
             - carslaw_kernel(r, phi + alpha, rp, phip, t, 2.0 * alpha))
 
 
-def antiperiodic_kernel_bessel(r, phi, rp, phip, t, alpha, tol=1e-15):
+def _bessel_series(alpha, x, dphi=0.0):
+    """sum_k cos((2k+1) pi dphi/alpha) I_{(2k+1) pi/alpha}(x) e^{-x} at each
+    x of an array, in blocks of 32 orders until the scaled Bessel function of
+    a block's last order drops below 1e-15 everywhere."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    total = np.zeros_like(x)
+    for k in range(0, 20000, 32):
+        odd = 2 * np.arange(k, k + 32) + 1
+        terms = ive(odd * math.pi / alpha, x[:, None])          # (len(x), 32)
+        total += (np.cos(math.pi * odd * dphi / alpha) * terms).sum(axis=-1)
+        if np.max(terms[:, -1]) < 1e-15:
+            break
+    return total
+
+
+def antiperiodic_kernel_bessel(r, phi, rp, phip, t, alpha):
     """alpha-anti-periodic cone kernel via the modified-Bessel series
 
         (4/(alpha t)) e^{-(r^2+r'^2)/t} sum_k cos(pi(2k+1)(phi-phi')/alpha)
                                               I_{(2k+1)pi/alpha}(2 r r'/t).
 
-    Scaled Bessel functions keep the evaluation overflow-free; the series is
-    truncated when the scaled tail drops below tol.  Behaves as O(r^{pi/alpha})
-    as r -> 0.
+    Scaled Bessel functions keep the evaluation overflow-free
+    (_bessel_series).  Behaves as O(r^{pi/alpha}) as r -> 0.
     """
     r, rp, t, alpha = float(r), float(rp), float(t), float(alpha)
-    x = 2.0 * r * rp / t
-    dphi = float(phi) - float(phip)
     pref = 4.0 / (alpha * t) * math.exp(-(r - rp) ** 2 / t)
-    total = 0.0
-    k = 0
-    block = 32
-    while True:
-        ks = np.arange(k, k + block)
-        nu = (2 * ks + 1) * math.pi / alpha
-        terms = np.cos(math.pi * (2 * ks + 1) * dphi / alpha) * ive(nu, x)
-        total += terms.sum()
-        k += block
-        if np.max(np.abs(ive(nu[-1], x))) < tol or k > 20000:
-            break
-    return float(pref * total)
+    series = _bessel_series(alpha, 2.0 * r * rp / t, float(phi) - float(phip))
+    return float(pref * series[0])
 
 
 def antiperiodic_kernel(r, phi, rp, phip, t, alpha, route="contour"):
@@ -226,31 +219,17 @@ def cone_trace_constant(alpha: float) -> float:
     return -0.125 * (alpha / (3.0 * math.pi) + 2.0 * math.pi / (3.0 * alpha))
 
 
-def cone_trace_constant_numeric(alpha: float, t: float = 1e-3, r_max_factor: float = 12.0,
-                                n_panel: int = 240) -> float:
+def cone_trace_constant_numeric(alpha: float) -> float:
     """Numeric route: integrate (H_anti(r,phi,r,phi,t) - 1/(pi t)) r dr dphi
-    over a truncated cone at small t.
+    over a truncated cone.
 
     On the diagonal the integrand depends on r and t only through x = 2 r^2/t,
-    so the integral is evaluated in x; r_max = r_max_factor * sqrt(t) truncates
-    where the deviation from the plane kernel is exponentially small.
+    so the integral is evaluated in x and does not depend on t; x_max = 288
+    (r_max = 12 sqrt(t)) truncates where the deviation from the plane kernel
+    is exponentially small.
     """
-    x_max = 2.0 * r_max_factor ** 2
-    x, w = _gauss_panels(x_max, n_panel)
-
-    def diag_sum(xv):
-        out = np.zeros_like(xv)
-        k = 0
-        block = 64
-        while True:
-            nu = (2 * np.arange(k, k + block) + 1) * math.pi / alpha
-            out += ive(nu[:, None], xv[None, :]).sum(axis=0)
-            k += block
-            if np.max(ive(nu[-1], xv)) < 1e-16 or k > 8000:
-                break
-        return out
-
-    integrand = diag_sum(x) - alpha / (4.0 * math.pi)
+    x, w = _gauss_panels(2.0 * 12.0 ** 2, 240)
+    integrand = _bessel_series(alpha, x) - alpha / (4.0 * math.pi)
     return float(np.sum(w * integrand))
 
 
@@ -335,8 +314,13 @@ def model_scattering_asymptote(lam: complex, g: int, x_probe: float | None = Non
     return t_diag, det_t
 
 
+def det_t_exponent(g: int) -> float:
+    """p_inf = (1-g)/2, the exponent of det T(lambda) ~ t_inf (-lambda)^{p_inf};
+    spectral.c0_theory takes it as the Szego shift zeta_S(0) - zeta_F(0)."""
+    return 0.5 * (1 - g)
+
+
 def det_t_asymptote(lam: complex, g: int) -> complex:
     """Closed-form det T(lambda) asymptote t_inf * (-lambda)^{p_inf}."""
     t_inf = GAMMA_3_4 ** (4 - 4 * g)
-    p_inf = 0.5 * (1 - g)
-    return t_inf * (-lam) ** p_inf
+    return t_inf * (-lam) ** det_t_exponent(g)

@@ -115,8 +115,11 @@ def _quadrature_nodes(periods, n_rad, n_ang):
     return np.concatenate(nodes), np.concatenate(ratios), np.concatenate(weights)
 
 
+_HERM_TOL = 5e-3                 # largest Hermiticity defect of T(0), relative
+
+
 def t_matrix_zero(surface, periods, char, delta=None, n_rad=24, n_ang=64,
-                  herm_tol=5e-3, error_estimate=True):
+                  error_estimate=True):
     """Scattering matrix T(0) (and S-Gram = pi^2 T(0)) by composite quadrature.
 
     The construction is Hermitian by assembly, so the reported quadrature
@@ -148,7 +151,8 @@ def t_matrix_zero(surface, periods, char, delta=None, n_rad=24, n_ang=64,
 
     def assemble(delta):
         """T(0) with reference characteristic delta: the sums
-        sum_q w_q theta_i conj(theta_j) |h2| / (td_i conj(td_j)), scaled."""
+        sum_q w_q theta_i conj(theta_j) |h2| / (td_i conj(td_j)), scaled,
+        with its Hermiticity defect as the quadrature error."""
         kappa = np.array([periods.h_delta(delta, ("cone", k, 0.0))
                           for k in range(ncone)])
         h2 = np.abs(ratios @ periods.theta_gradient0(delta))
@@ -156,19 +160,20 @@ def t_matrix_zero(surface, periods, char, delta=None, n_rad=24, n_ang=64,
                       for k in range(ncone)])                # (ncone, M)
         raw = (f * (weights * h2)) @ f.conj().T
         scale = np.outer(kappa, np.conj(kappa)) / (math.pi ** 2 * abs(t0_theta) ** 2)
-        t0 = scale * raw
-        herm = float(np.max(np.abs(t0 - t0.conj().T)))
-        if herm > herm_tol * max(1e-30, float(np.max(np.abs(t0)))):
+        data = ScatteringData(t0=scale * raw, quadrature_error=0.0, char=char)
+        data.quadrature_error = herm = data.hermiticity_defect()
+        if herm > _HERM_TOL * max(1e-30, float(np.max(np.abs(data.t0)))):
             raise QuadratureError(f"T(0) Hermiticity defect {herm:.2e} above threshold")
-        if np.linalg.eigvalsh(0.5 * (t0 + t0.conj().T)).min() <= 0:
+        if data.min_eigenvalue() <= 0:
             raise ConsistencyError("T(0) not positive definite")
-        return t0, herm
+        return data
 
-    t0, err = assemble(delta)
+    data = assemble(delta)
     if error_estimate:
-        alt, _ = assemble([d for d in th.odd_characteristics(g) if d != delta][0])
-        err = float(np.max(np.abs(np.abs(alt) - np.abs(t0))))
-    return ScatteringData(t0=t0, quadrature_error=err, char=char)
+        alt = assemble([d for d in th.odd_characteristics(g) if d != delta][0])
+        data.quadrature_error = float(np.max(np.abs(np.abs(alt.t0)
+                                                    - np.abs(data.t0))))
+    return data
 
 
 def s_gram_direct(periods, char, delta=None, n_rad=20, n_ang=40):
@@ -233,10 +238,9 @@ def compare_determinants(log_det_f, t0_data, g):
 
 
 def invert_compare(log_det_s, t0_data, g):
-    if t0_data is None or t0_data.t0.size == 0:
-        return float(log_det_s)
-    return float(log_det_s + 4.0 * (g - 1) * math.log(GAMMA_3_4)
-                 + t0_data.log_det_t0())
+    """log det Delta_F from log det Delta_S: the formula is x - shift, so
+    -compare(-x) = x + shift exactly (negation is exact in floating point)."""
+    return -compare_determinants(-log_det_s, t0_data, g)
 
 
 def dhoker_phong_ratio(g):
@@ -302,16 +306,13 @@ class DeterminantReport:
     log_det_f_err: float
     log_det_t0: float
     theta0_abs: float
-    log_det_s: float = field(init=False)
+    log_det_s: float                # compare_determinants(log_det_f, T(0))
+    zeta: dict                      # t0, overlap_gap, n_eigs, c0 of log_det_f
     q_value: float = field(init=False)
     ratio_log: float = None
     tau_placeholder: str = "not computed"
 
     def __post_init__(self):
-        g = self.genus
-        self.log_det_s = float(self.log_det_f
-                               - 4.0 * (g - 1) * math.log(GAMMA_3_4)
-                               - self.log_det_t0)
         self.q_value = float(self.log_det_s - 2.0 * math.log(self.theta0_abs))
 
     def to_dict(self):
@@ -324,6 +325,7 @@ class DeterminantReport:
                 "theta0_abs": self.theta0_abs,
                 "log_det_S": self.log_det_s,
                 "Q": self.q_value,
+                "zeta": dict(self.zeta),
                 "ratio_log": self.ratio_log,
                 "tau_B": self.tau_placeholder}
 
@@ -372,14 +374,15 @@ def determinant_report(moduli, spin, h=0.02, n_eigs=280, richardson=True,
         res2 = spec.eigenvalues(spec.assemble_operator(mesh2, lift2, "friedrichs"),
                                 n_eigs)
         res = spec.richardson_eigenvalues(res2, res)
-    log_det_f, err_f, _ = spec.zeta_determinant(res)
+    log_det_f, err_f, zeta = spec.zeta_determinant(res)
 
     t0_data = t_matrix_zero(surf, periods, char)
-    report = DeterminantReport(genus=moduli.genus, spin=spin,
-                               char_label=char.label(),
-                               log_det_f=log_det_f, log_det_f_err=err_f,
-                               log_det_t0=t0_data.log_det_t0(),
-                               theta0_abs=float(abs(periods.theta0(char))))
+    report = DeterminantReport(
+        genus=moduli.genus, spin=spin, char_label=char.label(),
+        log_det_f=log_det_f, log_det_f_err=err_f,
+        log_det_t0=t0_data.log_det_t0(),
+        log_det_s=compare_determinants(log_det_f, t0_data, moduli.genus),
+        theta0_abs=float(abs(periods.theta0(char))), zeta=zeta)
     report.ratio_log = assembled_ratio(log_det_f, t0_data, moduli.genus)
     return report, t0_data
 

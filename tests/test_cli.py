@@ -114,4 +114,10 @@ def test_determinants_command(g2_moduli_file, tmp_path):
     assert rc == 0
     d = json.loads((tmp_path / "determinants.json").read_text())
     assert d["max_delta_q"] == 0.0
+    for rep in d["reports"]:
+        # the zeta split behind log det F
+        zeta = rep["zeta"]
+        assert 0.0 < zeta["t0"] and zeta["overlap_gap"] >= 0.0
+        assert zeta["n_eigs"] == 150
+        assert zeta["c0"] == -0.375
     assert (tmp_path / "summary.csv").exists()

@@ -320,6 +320,23 @@ def test_heat_trace_window_error(torus_setup):
         spec.heat_trace(res, 1e-5)
 
 
+@pytest.mark.parametrize("signs", [(1, -1), (-1, 1), (-1, -1)])
+def test_heat_trace_against_poisson_trace(signs):
+    # the torus (1, 0.3+0.9i): 400 explicit eigenvalues against the
+    # Poisson-resummed trace over the whole window [2/cutoff, 2]
+    A, B, area = 1.0, 0.3 + 0.9j, 0.9
+    lam = oracles.torus_spectrum(A, B, *signs, 400)
+    res = spec.SpectralResult(extension="friedrichs", h=0.0, genus=1,
+                              area=area, eigenvalues=lam, n_dofs=0)
+    cutoff = lam[-1] + math.pi / (2.0 * area)
+    ts = np.geomspace(2.0 / cutoff, 2.0, 24)
+    exact = np.array([oracles.torus_theta_trace(A, B, *signs, t) for t in ts])
+    got = np.array([spec.heat_trace(res, t) for t in ts])
+    assert np.max(np.abs(got - exact) / exact) <= 5e-3
+    c0, _ = spec.fit_heat_trace_constant(res)
+    assert abs(c0) <= 1e-6                  # no cones: c0 = 0
+
+
 def test_c0_theory_values():
     assert spec.c0_theory("friedrichs", 1) == 0.0
     assert spec.c0_theory("friedrichs", 2) == -0.375
@@ -406,6 +423,15 @@ def test_szego_zeta_smoke(g2_coarse):
     ld, err, info = spec.zeta_determinant(res, t0=0.25, fit_remainder=False)
     assert np.isfinite(ld) and err < 0.5
     assert info["c0"] == spec.c0_theory("szego", 2)
+
+
+def test_singular_coefficients_refuse_the_exact_holomorphic_columns(g2_coarse):
+    # the S(., P_k) columns are global sections without a ring expansion;
+    # dropping them would return coefficients without the 1/x pole
+    mesh, pd, _, char, lift = g2_coarse
+    op = spec.assemble_operator(mesh, lift, "holomorphic", periods=pd, char=char)
+    with pytest.raises(ValueError, match="holomorphic"):
+        spec.extract_singular_coefficients(op, np.ones(op.n_dofs), 0.0, 0)
 
 
 def test_singular_coefficients_ignore_the_scale_of_u(g2_coarse):
