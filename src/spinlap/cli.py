@@ -193,6 +193,7 @@ def cmd_spectrum(args):
     payload["eigenvalues"] = [float(v) for v in res.eigenvalues]
     payload["krylov_dim"] = res.krylov_dim
     payload["residual_bound"] = res.residual_bound
+    payload["inertia"] = res.inertia
     heat = []
     if args.extension in ("friedrichs", "szego"):
         lam = res.positive()

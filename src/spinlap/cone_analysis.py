@@ -22,16 +22,18 @@ import math
 import numpy as np
 from scipy.special import gamma, hyp1f1, ive
 
+from .errors import SpinlapError
 
-class ResonanceError(ValueError):
+
+class ResonanceError(SpinlapError, ValueError):
     """A recurrence denominator vanished (resonant exponent)."""
 
 
-class PoleError(ValueError):
+class PoleError(SpinlapError, ValueError):
     """Evaluation requested at a pole of the angular resolvent."""
 
 
-class QuadratureError(RuntimeError):
+class QuadratureError(SpinlapError, RuntimeError):
     """A quadrature missed its accuracy requirement (a non-convergent contour
     here, a T(0) Hermiticity defect in determinants)."""
 

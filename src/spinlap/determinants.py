@@ -30,11 +30,12 @@ import numpy as np
 
 from . import theta as th
 from .cone_analysis import GAMMA_3_4, QuadratureError
+from .errors import SpinlapError
 from .spectral import _QB, _QW
 from .surface import patch_triangle_ids
 
 
-class ConsistencyError(RuntimeError):
+class ConsistencyError(SpinlapError, RuntimeError):
     """T(0) failed a structural requirement (Hermiticity/positivity)."""
 
 

@@ -29,14 +29,15 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import theta as th
+from .errors import SpinlapError
 from .surface import cone_coordinate, cone_patch_triangles
 
 
-class MeshQualityError(RuntimeError):
+class MeshQualityError(SpinlapError, RuntimeError):
     """Singular linear system or failed rank condition in the Hodge solve."""
 
 
-class DiscretizationError(RuntimeError):
+class DiscretizationError(SpinlapError, RuntimeError):
     """Period matrix failed a structural invariant (e.g. Im B not PD)."""
 
 

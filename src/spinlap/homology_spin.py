@@ -28,13 +28,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import theta as th
+from .errors import SpinlapError
 
 
-class LiftFailureError(RuntimeError):
+class LiftFailureError(SpinlapError, RuntimeError):
     """The edge-sign cocycle is inconsistent (cut-set bug)."""
 
 
-class CalibrationError(RuntimeError):
+class CalibrationError(SpinlapError, RuntimeError):
     """No characteristic reproduces the requested monodromy signs."""
 
 

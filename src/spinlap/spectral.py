@@ -22,7 +22,13 @@ Only the enrichment borders of the szego and holomorphic variants are
 complex; their pencils are complex Hermitian.  Every pencil, real or complex,
 is solved by one shift-invert Lanczos iteration on (A - sigma M)^-1 M, which
 is self-adjoint in the M inner product, so its projection is a real
-tridiagonal matrix (Ericsson & Ruhe, Math. Comp. 35, 1980).
+tridiagonal matrix (Ericsson & Ruhe, Math. Comp. 35, 1980).  Every factor of
+A - tau M is an LDL^H one (a symmetric ordering, diagonal pivots), so its
+negative pivots count the eigenvalues below tau (Sylvester's law of inertia).
+That count certifies the solve: it ends when the pencil has exactly as many
+eigenvalues near sigma as were found (Ericsson & Ruhe; Grimes, Lewis & Simon,
+SIAM J. Matrix Anal. Appl. 15, 1994), and the exact Szego-kernel columns of
+the holomorphic pencil are scaled to unit mass so that its factor is accurate.
 
 Heat traces and zeta determinants follow the split-Mellin regularization: for
 t < t0 the short-time model Area/(pi t) + c0 (c0_theory, from the cone
@@ -46,6 +52,7 @@ from scipy.special import exp1
 
 from .cone_analysis import (cone_trace_constant, det_t_exponent,
                             pencil_coefficients)
+from .errors import SpinlapError
 from .surface import cone_angle, patch_triangle_ids, slit_sign
 
 EXTENSIONS = ("friedrichs", "szego", "holomorphic", "holomorphic_local")
@@ -58,16 +65,17 @@ ADMITTED_EXPONENTS = {
 }
 
 
-class AssemblyError(RuntimeError):
+class AssemblyError(SpinlapError, RuntimeError):
     """Enrichment Gram ill-conditioned or inconsistent gauge."""
 
 
-class SolverError(RuntimeError):
-    """Eigensolve impossible (the shift is an eigenvalue) or its spectrum
+class SolverError(SpinlapError, RuntimeError):
+    """Eigensolve impossible (the shift is an eigenvalue), uncertified (the
+    inertia count disagrees with the eigenpairs found) or its spectrum
     inconsistent with the extension."""
 
 
-class WindowError(ValueError):
+class WindowError(SpinlapError, ValueError):
     """Requested t outside the validity window of the truncated trace."""
 
 
@@ -213,6 +221,10 @@ def assemble_operator(mesh, lift, extension, periods=None, char=None,
         E = np.einsum("qc,tci->tqi", _QB, eta[:, :, None] * f[mesh.triangles])
         cols = n_p1 + np.arange(ncone)
         wq, hat = area[:, None] * _QW, eta[:, None, :] * _QB
+        # each column scaled to unit mass: the pole values of S(., P_k)
+        # (~1e15) otherwise put ~1e29 on the mass diagonal and the pencil's
+        # condition number near 1e30
+        E = E / np.sqrt(np.einsum("tq,tqi->i", wq, np.abs(E) ** 2))
         border_m.append(_border_triplets(dofs, cols, wq, hat, E)[0])
     elif extension in ("szego", "holomorphic_local"):
         dbar_hat = eta * -e / (4j * area[:, None])                   # (nt, 3)
@@ -385,6 +397,9 @@ class SpectralResult:
     krylov_dim: int = None             # Lanczos steps the eigensolve took
     residual_bound: float = None       # largest relative Ritz bound of the
                                        # returned pairs (0 when exact)
+    inertia: dict = None               # {sigma, d, count}: the pencil has
+                                       # `count` eigenvalues in (sigma - d,
+                                       # sigma + d), by Sylvester inertia
 
     def positive(self):
         """Eigenvalues with the numerical kernel removed."""
@@ -402,7 +417,9 @@ def eigenvalues(op: DiscreteOperator, N: int, vectors=False, sigma=None):
     spectrum), by shift-invert Lanczos.  A pencil has n_dofs eigenvalues; a
     larger N is clamped, and the result records the N asked for as
     `requested`.  With vectors=True the eigenvectors are mass-orthonormal.
-    Raises SolverError when sigma is an eigenvalue (A - sigma M singular)."""
+    The result's `inertia` certifies that no eigenvalue within d of sigma
+    was missed.  Raises SolverError when sigma is an eigenvalue (A - sigma M
+    singular) or the certificate fails."""
     from .surface import flat_area
     ndof = op.n_dofs
     requested, N = N, min(N, ndof)
@@ -411,8 +428,8 @@ def eigenvalues(op: DiscreteOperator, N: int, vectors=False, sigma=None):
         if op.extension == "szego":
             sigma = -0.05
     v0 = np.ones(ndof) + 0.5 * np.cos(np.arange(ndof))   # deterministic start
-    lam, vec, m, bound = _shift_invert_lanczos(op.stiffness, op.mass, N,
-                                               sigma, v0, vectors)
+    lam, vec, m, bound, inertia = _shift_invert_lanczos(
+        op.stiffness, op.mass, N, sigma, v0, vectors)
     idx = np.argsort(lam)
     lam = lam[idx]
     vec = vec[idx].T if vectors else None
@@ -421,11 +438,43 @@ def eigenvalues(op: DiscreteOperator, N: int, vectors=False, sigma=None):
                           genus=op.mesh.genus, area=flat_area(op.mesh.surface),
                           eigenvalues=lam, n_dofs=ndof, vectors=vec, op=op,
                           requested=requested, krylov_dim=m,
-                          residual_bound=bound)
+                          residual_bound=bound, inertia=inertia)
 
 
 _RITZ_TOL = 1e-12                # relative Ritz bound of converged pairs
 _DGKS = 1.0 / math.sqrt(2.0)     # norm drop that calls a second Gram-Schmidt
+_WINDOW = 1e-8                   # relative widening of the counted window
+
+
+def _factor(A, M, tau):
+    """LDL^H factor of A - tau M and its number of negative pivots.
+
+    splu with a symmetric ordering (minimum degree on A^T + A) and diagonal
+    pivots only: for a Hermitian A - tau M that is P (A - tau M) P^T =
+    L D L^H with D = diag(U), and by Sylvester's law of inertia the negative
+    entries of D count the eigenvalues of the pencil below tau (M positive
+    definite).  Raises SolverError on a singular factor, an off-diagonal
+    pivot or a D that is not real.  Returns (SuperLU object, count)."""
+    try:
+        lu = spla.splu((A - tau * M).tocsc(), permc_spec="MMD_AT_PLUS_A",
+                       diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    except RuntimeError as exc:        # "Factor is exactly singular"
+        raise SolverError(f"A - {tau} M is singular: {exc}") from exc
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise SolverError(f"A - {tau} M needed an off-diagonal pivot")
+    d = lu.U.diagonal()
+    # rounding scale of pivot i: sum_j |L_ij| |U_ji|, which grows with the
+    # pivots' growth near an eigenvalue
+    if np.iscomplexobj(d) and np.any(np.abs(d.imag) > 1e-8 * np.asarray(
+            abs(lu.L).multiply(abs(lu.U).T).sum(axis=1)).ravel()):
+        raise SolverError(f"A - {tau} M has a non-real pivot: not Hermitian")
+    return lu, int(np.count_nonzero(d.real < 0))
+
+
+def _count_below(A, M, tau):
+    """The number of eigenvalues of the pencil (A, M) below tau; the factor
+    is dropped as soon as its pivots are counted."""
+    return _factor(A, M, tau)[1]
 
 
 def _shift_invert_lanczos(A, M, N, sigma, v0, vectors):
@@ -436,25 +485,30 @@ def _shift_invert_lanczos(A, M, N, sigma, v0, vectors):
     tridiagonal T.  Each new vector is orthogonalized against the whole
     stored basis (classical Gram-Schmidt, repeated once when it cancels).
     A Ritz pair (theta, s) of T has converged when
-    beta_m |s_m| / |theta| <= _RITZ_TOL; lambda = sigma + 1/theta.
+    beta_m |s_m| / |theta| <= _RITZ_TOL; lambda = sigma + 1/theta.  A run
+    also ends when its Krylov space is invariant (breakdown): its Ritz values
+    are then exact, as they are once the basis spans the whole space.
 
     One Krylov space holds a single vector of each eigenspace, so a run
-    whose N largest Ritz values have converged may still miss copies of a
-    multiple eigenvalue.  Its pairs are therefore locked (their Ritz vectors
-    join the basis) and the next run starts from a fixed random vector on
-    the operator deflated by them; a run whose largest Ritz value converges
-    below the N largest locked ones ends the solve.  A run also ends when its
-    Krylov space is invariant (breakdown): its Ritz values are then exact, as
-    they are once the basis spans the whole space.
+    whose N wanted pairs have converged may still miss copies of a multiple
+    eigenvalue.  The one exit test is an inertia count (Ericsson & Ruhe,
+    Math. Comp. 35, 1980; Grimes, Lewis & Simon, SIAM J. Matrix Anal. Appl.
+    15, 1994): with d = (1 + _WINDOW) max |lambda - sigma| over the N nearest
+    pairs found, the LDL^H pivots of A - (sigma +- d) M give the number of
+    eigenvalues in (sigma - d, sigma + d) (_factor); the lower count is the
+    shift's own, zero, when sigma lies below the spectrum.  The solve ends
+    when the count equals the pairs found in that window.  A larger count
+    locks the run's converged pairs in the window (their Ritz vectors join
+    the basis) and starts the next run from a fixed random vector on the
+    operator deflated by them; a smaller one raises SolverError.
 
     Returns (lambda, M-orthonormal eigenvectors as rows if `vectors` else
-    None, Lanczos steps, largest relative Ritz bound)."""
+    None, Lanczos steps, largest relative Ritz bound, inertia count as a
+    dict of sigma, d and count)."""
     n = A.shape[0]
     dtype = np.result_type(A.dtype, M.dtype)
-    try:
-        solve = spla.splu((A - sigma * M).tocsc()).solve
-    except RuntimeError as exc:        # "Factor is exactly singular"
-        raise SolverError(f"shift {sigma} is an eigenvalue: {exc}") from exc
+    lu, below = _factor(A, M, sigma)
+    solve = lu.solve
 
     def orthogonalize(B, w, Mw):       # w minus its M-projection on rows of B
         return w - B.T @ np.conj(B @ np.conj(Mw))
@@ -471,7 +525,7 @@ def _shift_invert_lanczos(A, M, N, sigma, v0, vectors):
     theta = bound = np.empty(0)        # of the locked pairs
     k, steps, run = 0, 0, 0
     w = np.asarray(v0, dtype=dtype)
-    while k < n:
+    while True:
         for _ in range(2):
             w = orthogonalize(basis[:k], w, M @ w)
         Mw = M @ w
@@ -521,9 +575,25 @@ def _shift_invert_lanczos(A, M, N, sigma, v0, vectors):
                 del s                  # free before the next check's
                 check = min(size, m + max(1, N // 8))
         steps += m
-        keep = np.abs(th) >= cut       # this run's pairs among the N largest
-        if run and not keep.any():
+        # the pairs found: the locked ones and this run's converged ones
+        conv = rel <= _RITZ_TOL
+        found = np.concatenate([theta, th[conv]])
+        mags = np.sort(np.abs(found))[::-1]
+        d = (1.0 + _WINDOW) / mags[min(N, len(mags)) - 1]
+        inside = int(np.count_nonzero(np.abs(found) * d > 1.0))
+        count = _count_below(A, M, sigma + d)
+        if below:                      # sigma lies inside the spectrum
+            count -= _count_below(A, M, sigma - d)
+        if count < inside:
+            raise SolverError(f"{inside} eigenpairs found within {d:.6g} of "
+                              f"{sigma}, where the pencil has {count}")
+        if count == inside and len(found) >= N:
             break
+        keep = conv & (np.abs(th) * d > 1.0)
+        if not keep.any() or k + np.count_nonzero(keep) == n:
+            raise SolverError(f"the pencil has {count} eigenvalues within "
+                              f"{d:.6g} of {sigma}, a deflated run found "
+                              f"no more than {inside}")
         # the Ritz vectors overwrite the run's first rows, a column block at
         # a time, so that no second copy of the basis is made
         coef = s[:, keep].T.astype(dtype)
@@ -535,9 +605,17 @@ def _shift_invert_lanczos(A, M, N, sigma, v0, vectors):
         bound = np.concatenate([bound, rel[keep]])
         run += 1
         w = np.random.default_rng(run).standard_normal(n)
-    top = np.argsort(-np.abs(theta))[:N]
-    return (sigma + 1.0 / theta[top], basis[top] if vectors else None, steps,
-            float(bound[top].max()))
+    top = np.argsort(-np.abs(found))[:N]
+    X = None
+    if vectors:                        # Ritz vectors of the returned pairs only
+        X = np.empty((len(top), n), dtype)
+        old = top < k
+        X[old] = basis[top[old]]
+        cols = np.flatnonzero(conv)[top[~old] - k]
+        X[~old] = s[:, cols].T.astype(dtype) @ basis[k:k + m]
+    return (sigma + 1.0 / found[top], X, steps,
+            float(np.concatenate([bound, rel[conv]])[top].max()),
+            {"sigma": float(sigma), "d": float(d), "count": count})
 
 
 def _unpaged_rows(rows, n, dtype):

@@ -32,20 +32,22 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, dijkstra
 from scipy.spatial import Delaunay
 
+from .errors import SpinlapError
 
-class InvalidModuliError(ValueError):
+
+class InvalidModuliError(SpinlapError, ValueError):
     """Moduli violate the lattice/slit invariants."""
 
 
-class MeshResolutionError(ValueError):
+class MeshResolutionError(SpinlapError, ValueError):
     """Mesh size h cannot resolve the requested geometry."""
 
 
-class MeshConformityError(RuntimeError):
+class MeshConformityError(SpinlapError, RuntimeError):
     """Generated mesh failed a structural validation."""
 
 
-class OutOfChartError(ValueError):
+class OutOfChartError(SpinlapError, ValueError):
     """Point outside the requested cone chart."""
 
 

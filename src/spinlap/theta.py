@@ -39,18 +39,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import SpinlapError
+
 TWO_PI_I = 2j * math.pi
 
 
-class ThetaDomainError(ValueError):
+class ThetaDomainError(SpinlapError, ValueError):
     """Im B not positive definite."""
 
 
-class DegenerateSpinError(ValueError):
+class DegenerateSpinError(SpinlapError, ValueError):
     """theta[p,q](0) vanishes (the genericity assumption h^0(C)=0 fails)."""
 
 
-class DegeneratePointError(ValueError):
+class DegeneratePointError(SpinlapError, ValueError):
     """No odd characteristic gives a usable h_delta at the requested points."""
 
 

@@ -77,6 +77,8 @@ def test_spectrum_command(g1_moduli_file, tmp_path):
     assert d["heat_trace"]
     assert d["krylov_dim"] >= 40
     assert d["residual_bound"] <= 1e-12
+    # the Sylvester inertia certificate: exactly the 40 found lie within d
+    assert d["inertia"]["count"] == 40 and d["inertia"]["d"] > 0
 
 
 def test_report_command(g1_moduli_file, tmp_path):

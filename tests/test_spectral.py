@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from spinlap import surface as sf, hodge, homology_spin as hs, spectral as spec
 
@@ -127,7 +128,8 @@ def test_cone_mode_borders_match_the_triangle_loop(extension, g2_h05):
 
 def test_holomorphic_border_is_the_gauged_p1_mass(g2_h05, g2_h05_periods):
     # the 7-point rule is exact on P1 x P1, so the border of the interpolated
-    # kernels is the closed-form P1 mass (cone vertices included) times f
+    # kernels is the closed-form P1 mass (cone vertices included) times f,
+    # each column f scaled to unit mass
     mesh, _, lift = g2_h05
     pd, char = g2_h05_periods
     op = spec.assemble_operator(mesh, lift, "holomorphic", periods=pd,
@@ -136,6 +138,7 @@ def test_holomorphic_border_is_the_gauged_p1_mass(g2_h05, g2_h05_periods):
                                mesh.n_vertices)
     F = np.stack([spec.szego_section_field(pd, char, k, lift)
                   for k in range(len(mesh.cone_patches))], axis=1)
+    F = F / np.sqrt(np.einsum("vi,vw,wi->i", F.conj(), M, F).real)
     # rounding scale: the same sums with every term taken in modulus (the
     # two slit sides of a vertex next to the pole cancel to ~1e-12 of it)
     M_abs = oracles.gauged_p1_mass(mesh.triangles, mesh.tri_pos,
@@ -212,20 +215,104 @@ def test_every_copy_of_a_multiple_eigenvalue(h, N):
     assert np.max(np.abs(res.eigenvalues - ref) / ref) <= 1e-11
 
 
-@pytest.mark.parametrize("extension", ["friedrichs", "szego",
-                                       "holomorphic_local"])
-def test_eigenvectors_are_mass_orthonormal(extension, g2_h05):
-    # (the holomorphic pencil is left out: its mass matrix holds entries of
-    # 1e28 from the rounding-limited pole values of the Szego kernels, which
-    # swamp M x of every other eigenvector)
+@pytest.mark.parametrize("extension", spec.EXTENSIONS)
+def test_eigenvectors_are_mass_orthonormal(extension, g2_h05, g2_h05_periods):
     mesh, _, lift = g2_h05
-    op = spec.assemble_operator(mesh, lift, extension)
+    pd, char = g2_h05_periods
+    op = spec.assemble_operator(mesh, lift, extension, periods=pd, char=char)
     res = spec.eigenvalues(op, 30, vectors=True)
     X, lam = res.vectors, res.eigenvalues
     MX = op.mass @ X
     assert np.max(np.abs(X.conj().T @ MX - np.eye(30))) <= 1e-12
+    # the kernel vectors of the holomorphic pencil against its lowest
+    # positive eigenvalue
+    scale = np.maximum(lam, lam[lam > 0].min())
     resid = np.linalg.norm(op.stiffness @ X - MX * lam, axis=0)
-    assert np.all(resid <= 1e-10 * lam * np.linalg.norm(MX, axis=0))
+    assert np.all(resid <= 1e-10 * scale * np.linalg.norm(MX, axis=0))
+
+
+def test_holomorphic_shift_solves_to_rounding(g2_h05, g2_h05_periods):
+    # with its Szego-kernel columns at their raw scale the pencil's mass
+    # diagonal reaches ~1e29 and one LU solve of A - sigma M keeps ~1e-5
+    mesh, _, lift = g2_h05
+    pd, char = g2_h05_periods
+    op = spec.assemble_operator(mesh, lift, "holomorphic", periods=pd,
+                                char=char)
+    S = (op.stiffness + 0.1 * op.mass).tocsc()
+    b = np.random.default_rng(0).standard_normal(op.n_dofs) + 0j
+    x = scipy.sparse.linalg.splu(S).solve(b)
+    assert np.linalg.norm(S @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("extension", spec.EXTENSIONS)
+def test_inertia_count_matches_the_dense_pencil(extension, g2_h05,
+                                                g2_h05_periods):
+    mesh, _, lift = g2_h05
+    pd, char = g2_h05_periods
+    op = spec.assemble_operator(mesh, lift, extension, periods=pd, char=char)
+    ref = oracles.dense_pencil_eigenvalues(op.stiffness, op.mass, 60)
+    # below the spectrum, inside the first gap past the holomorphic kernel,
+    # and deep inside the spectrum
+    for tau in (-0.1, 0.5 * (ref[2] + ref[3]), 0.5 * (ref[40] + ref[41])):
+        assert np.min(np.abs(ref - tau)) > 1e-6 * abs(tau)
+        count = spec._factor(op.stiffness, op.mass, tau)[1]
+        assert count == np.count_nonzero(ref < tau)
+
+
+def test_a_shift_inside_the_spectrum_counts_both_sides(g2_h05):
+    # the shift's own factor has negative pivots, so the count below
+    # sigma - d needs a factor of its own
+    mesh, _, lift = g2_h05
+    op = spec.assemble_operator(mesh, lift, "szego")
+    ref = oracles.dense_pencil_eigenvalues(op.stiffness, op.mass, 40)
+    sigma = 0.5 * (ref[20] + ref[21])
+    res = spec.eigenvalues(op, 10, sigma=sigma)
+    near = np.sort(ref[np.argsort(np.abs(ref - sigma))[:10]])
+    assert np.max(np.abs(res.eigenvalues - near) / near) <= 1e-11
+    assert res.inertia["count"] == 10 and res.inertia["sigma"] == sigma
+
+
+def _counting(monkeypatch, change):
+    """Patch the inertia counter to return count + change(call number);
+    returns the list of the counts it handed out."""
+    real, calls = spec._count_below, []
+
+    def count_below(A, M, tau):
+        calls.append(real(A, M, tau) + change(len(calls)))
+        return calls[-1]
+    monkeypatch.setattr(spec, "_count_below", count_below)
+    return calls
+
+
+def test_a_short_inertia_count_raises_solver_error(g2_h05, monkeypatch):
+    mesh, _, lift = g2_h05
+    op = spec.assemble_operator(mesh, lift, "friedrichs")
+    _counting(monkeypatch, lambda call: -1)
+    with pytest.raises(spec.SolverError, match="pencil has"):
+        spec.eigenvalues(op, 20)
+
+
+@pytest.mark.parametrize("extension", ["friedrichs", "szego"])
+def test_a_long_inertia_count_runs_the_deflated_lanczos(extension, g2_h05,
+                                                        monkeypatch):
+    # one eigenvalue too many in the first count: the found pairs are
+    # locked, a deflated run searches the rest of the space, and the second
+    # (true) count closes the solve with the same spectrum
+    mesh, _, lift = g2_h05
+    op = spec.assemble_operator(mesh, lift, extension)
+    plain = spec.eigenvalues(op, 30)
+    calls = _counting(monkeypatch, lambda call: 1 if call == 0 else 0)
+    res = spec.eigenvalues(op, 30, vectors=True)
+    assert len(calls) == 2 and calls[0] == calls[1] + 1 == 31
+    assert res.krylov_dim > plain.krylov_dim
+    assert res.inertia["count"] == 30
+    ref = oracles.dense_pencil_eigenvalues(op.stiffness, op.mass, 30)
+    assert np.max(np.abs(res.eigenvalues - ref) / ref) <= 1e-11
+    X, MX = res.vectors, op.mass @ res.vectors
+    assert np.max(np.abs(X.conj().T @ MX - np.eye(30))) <= 1e-12
+    resid = np.linalg.norm(op.stiffness @ X - MX * res.eigenvalues, axis=0)
+    assert np.all(resid <= 1e-10 * res.eigenvalues
+                  * np.linalg.norm(MX, axis=0))
 
 
 def test_singular_shift_raises_solver_error(g2_h05, g2_h05_periods):
