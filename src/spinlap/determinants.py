@@ -16,6 +16,10 @@ h_delta(z) branches enter only through |h^2|, and the kappa-sign ambiguity
 is a diag(+-1) congruence that no downstream quantity sees.  Composite
 quadrature: a degree-5 triangle rule in the bulk, a Gauss-Legendre x
 trapezoid polar rule in the distinguished chart inside each cone patch.
+The nodes stream through theta in fixed chunks: per chunk and cone one
+theta_batch call gives theta[pq] and both odd reference characteristics,
+and the chunk is added into the raw Gram sums, so memory does not grow
+with the number of nodes.
 
 The Bergman tau function is never evaluated: every test below is a
 difference or ratio in which it cancels.
@@ -117,6 +121,8 @@ def _quadrature_nodes(periods, n_rad, n_ang):
 
 
 _HERM_TOL = 5e-3                 # largest Hermiticity defect of T(0), relative
+# quadrature nodes per theta evaluation: bounds the live theta tables
+_CHUNK = 4096
 
 
 def t_matrix_zero(surface, periods, char, delta=None, n_rad=24, n_ang=64,
@@ -126,11 +132,13 @@ def t_matrix_zero(surface, periods, char, delta=None, n_rad=24, n_ang=64,
     The construction is Hermitian by assembly, so the reported quadrature
     error is estimated by re-evaluating with a different odd reference
     characteristic (the result is delta-independent in the continuum; the
-    spread measures the prime-form discretization error).  Both evaluations
-    share the quadrature nodes and the theta[p,q] numerators.  The estimate
-    is not a bound: where one reference characteristic resolves the prime
-    form poorly it can exceed the entries of T(0) (1.87 for [00|00] on the
-    h = 0.04 mesh of the g = 2 test point)."""
+    spread measures the prime-form discretization error).  The nodes are
+    streamed in chunks of _CHUNK; per chunk and cone one theta_batch call
+    evaluates theta[p,q] and both reference characteristics, and the chunk
+    is added into the raw Gram matrices of both.  The estimate is not a
+    bound: where one reference characteristic resolves the prime form poorly
+    it can exceed the entries of T(0) (1.87 for [00|00] on the h = 0.04 mesh
+    of the g = 2 test point)."""
     mesh = periods.mesh
     g = periods.genus
     ncone = len(mesh.cone_patches)
@@ -145,23 +153,31 @@ def t_matrix_zero(surface, periods, char, delta=None, n_rad=24, n_ang=64,
     if abs(t0_theta) < 1e-10:
         raise th.DegenerateSpinError(f"theta{char.label()}(0) ~ 0")
 
+    deltas = [delta]
+    if error_estimate:
+        deltas.append([d for d in th.odd_characteristics(g) if d != delta][0])
     B = periods.b_matrix
     nodes, ratios, weights = _quadrature_nodes(periods, n_rad, n_ang)
-    shifts = [nodes - periods.abel(("cone", k, 0.0))[None, :] for k in range(ncone)]
-    num = [th.theta_batch(char, w, B) for w in shifts]
+    grads = np.array([periods.theta_gradient0(d) for d in deltas])
+    wh2 = weights * np.abs(grads @ ratios.T)                  # (D, M): w |h2|
+    cones = [periods.abel(("cone", k, 0.0)) for k in range(ncone)]
+    # raw[d] = sum_q w_q |h2| theta_i conj(theta_j) / (td_i conj(td_j))
+    raw = np.zeros((len(deltas), ncone, ncone), dtype=complex)
+    for s in range(0, len(nodes), _CHUNK):
+        chunk = slice(s, s + _CHUNK)
+        f = np.empty((len(deltas), ncone, len(nodes[chunk])), dtype=complex)
+        for k in range(ncone):
+            vals = th.theta_batch([char, *deltas], nodes[chunk] - cones[k], B)
+            f[:, k] = vals[0] / vals[1:]
+        raw += (f * wh2[:, None, chunk]) @ np.conj(f).transpose(0, 2, 1)
 
-    def assemble(delta):
-        """T(0) with reference characteristic delta: the sums
-        sum_q w_q theta_i conj(theta_j) |h2| / (td_i conj(td_j)), scaled,
-        with its Hermiticity defect as the quadrature error."""
-        kappa = np.array([periods.h_delta(delta, ("cone", k, 0.0))
+    def checked(ref, sums):
+        """T(0) with reference characteristic ref from its raw sums, with
+        its Hermiticity defect as the quadrature error."""
+        kappa = np.array([periods.h_delta(ref, ("cone", k, 0.0))
                           for k in range(ncone)])
-        h2 = np.abs(ratios @ periods.theta_gradient0(delta))
-        f = np.array([num[k] / th.theta_batch(delta, shifts[k], B)
-                      for k in range(ncone)])                # (ncone, M)
-        raw = (f * (weights * h2)) @ f.conj().T
         scale = np.outer(kappa, np.conj(kappa)) / (math.pi ** 2 * abs(t0_theta) ** 2)
-        data = ScatteringData(t0=scale * raw, quadrature_error=0.0, char=char)
+        data = ScatteringData(t0=scale * sums, quadrature_error=0.0, char=char)
         data.quadrature_error = herm = data.hermiticity_defect()
         if herm > _HERM_TOL * max(1e-30, float(np.max(np.abs(data.t0)))):
             raise QuadratureError(f"T(0) Hermiticity defect {herm:.2e} above threshold")
@@ -169,9 +185,9 @@ def t_matrix_zero(surface, periods, char, delta=None, n_rad=24, n_ang=64,
             raise ConsistencyError("T(0) not positive definite")
         return data
 
-    data = assemble(delta)
+    data = checked(deltas[0], raw[0])
     if error_estimate:
-        alt = assemble([d for d in th.odd_characteristics(g) if d != delta][0])
+        alt = checked(deltas[1], raw[1])
         data.quadrature_error = float(np.max(np.abs(np.abs(alt.t0)
                                                     - np.abs(data.t0))))
     return data

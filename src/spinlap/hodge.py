@@ -115,12 +115,19 @@ def _triangle_pq(table, corners, cochains):
     """Per-triangle (p, q) with cochain ~ p dz + q dzbar on each triangle, in
     the coordinates of corners (nt, 3), for all cochains (m, ne) at once:
     the least-squares solution of the 3 x 2 side equations (exact for a
-    closed cochain).  Returns p, q as (m, nt) arrays."""
-    dz = np.roll(corners, -1, axis=1) - corners
-    sides = np.stack([dz, np.conj(dz)], axis=-1)              # (nt, 3, 2)
+    closed cochain), from the 2 x 2 normal equations
+    [[s, conj c], [c, s]] (p, q) = (sum conj(dz) b, sum dz b) with
+    s = sum |dz|^2 and c = sum dz^2 over the sides; their determinant
+    s^2 - |c|^2 vanishes only on degenerate triangles, which validate_mesh
+    rejects.  Returns p, q as (m, nt) arrays."""
+    dz = np.roll(corners, -1, axis=1) - corners               # (nt, 3)
     values = cochains[:, table.index] * table.sign            # (m, nt, 3)
-    p, q = np.einsum("tkc,mtc->kmt", np.linalg.pinv(sides), values)
-    return p, q
+    s = np.sum(np.abs(dz) ** 2, axis=1)
+    c = np.sum(dz ** 2, axis=1)
+    u = np.einsum("tk,mtk->mt", np.conj(dz), values)
+    v = np.einsum("tk,mtk->mt", dz, values)
+    det = s ** 2 - np.abs(c) ** 2
+    return (s * u - np.conj(c) * v) / det, (s * v - c * u) / det
 
 
 def _bfs_tree(edges, n_vertices, root):

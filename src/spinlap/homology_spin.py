@@ -195,13 +195,16 @@ def _safe_cycle(periods, delta, torus, which):
 
 
 def _eta_table(periods, delta):
-    g = periods.genus
-    etas = []
-    for j in range(g):
-        _, ea = _safe_cycle(periods, delta, j, "a")
-        _, eb = _safe_cycle(periods, delta, j, "b")
-        etas.append((ea, eb))
-    return etas
+    """The h_delta branch monodromies ((eta^a_j, eta^b_j) for each torus j)
+    along zero-avoiding cycles; they depend on periods and delta alone, so
+    they are kept in the periods' cache."""
+    key = ("eta", delta)
+    if key not in periods._cache:
+        periods._cache[key] = tuple(
+            (_safe_cycle(periods, delta, j, "a")[1],
+             _safe_cycle(periods, delta, j, "b")[1])
+            for j in range(periods.genus))
+    return periods._cache[key]
 
 
 def szego_cycle_signs(char, periods, delta=None):

@@ -324,8 +324,7 @@ def szego_section_raw(periods, char, k, delta):
     a_pk = periods.abel(pk)
     h_pk = periods.h_delta(delta, pk)
     w = (periods.abel_vertex - a_pk[:, None]).T          # (nv, g)
-    num = th.theta_batch(char, w, periods.b_matrix)
-    den = th.theta_batch(delta, w, periods.b_matrix)
+    num, den = th.theta_batch([char, delta], w, periods.b_matrix)
     h2 = periods.h_delta_sq_vertex(delta)
     hz = periods._h_sign_field(delta) * np.sqrt(h2)
     # S(z, P_k) = theta[pq](A(z)-A(P_k)) h(z) h(P_k) / (theta0 * (-theta[d](A(z)-A(P_k))))

@@ -4,20 +4,24 @@ and the Szego kernel.
 theta[p,q](xi | B) = sum_{n in Z^g} exp( i pi (n+p)^T B (n+p)
                                          + 2 pi i (n+p)^T (xi + q) ),
 
-with p, q in {0, 1/2}^g and Im B positive definite.  Arguments are first
-reduced modulo Z^g + B Z^g, with the exact quasi-periodicity factor
-multiplied back in, so the returned value is the true theta value (not a
-reduced representative).  At the reduced arguments the sum runs over the
-box n = k + p, k in [-r, r]^g, whose half-width r is set by the Gaussian
-tail bound and the largest |Im xi| of the batch.  Each term factors over
-the axes,
+with p, q in {0, 1/2}^g and Im B positive definite.  One lattice-sum kernel
+evaluates any number of characteristics at once.  Arguments are first
+reduced modulo Z^g + B Z^g, once for all characteristics, with the exact
+quasi-periodicity factor multiplied back in, so the returned value is the
+true theta value (not a reduced representative).  At the reduced arguments
+xi0 the sum runs over the box n = k + p, k in [-r, r]^g, whose half-width r
+is set by the Gaussian tail bound and the largest |Im xi0| of the batch.
+Each term factors as
 
-    exp(i pi n^T B n) * prod_i exp(2 pi i n_i (xi_i + q_i)),
+    exp(2 pi i p.xi0) * exp(i pi n^T B n + 2 pi i n.q) * prod_i z_i^k_i,
 
-so per argument only the g (2r+1) axis factors are exponentiated; they are
-contracted with the (2r+1)^g coefficient tensor exp(i pi n^T B n), one axis
-at a time.  xi-derivatives weight the axis factors by 2 pi i n_i, the
-B-derivative weights the coefficient tensor by i pi n_i n_j.
+z_i = exp(2 pi i xi0_i): p enters as a per-argument factor, q as a phase
+in the (2r+1)^g coefficient tensor of each characteristic, and the axis
+factors z_i^k, shared by every characteristic, are running products of z_i
+rather than one exp per term.  The stacked coefficient tensors of all
+characteristics are contracted with the axis factors in one matmul, then
+one axis at a time.  xi-derivatives weight the coefficient tensors by
+2 pi i n_i, the B-derivative by i pi n_i n_j.
 
 The prime form and Szego kernel are built on top of a PeriodData-like object
 (see hodge.PeriodData) that provides the Abel map, the ratios v_i = upsilon_i
@@ -117,103 +121,110 @@ def _check_b(B):
     return B, float(w.min())
 
 
-def _reduce(char, xi, B):
-    """Split each row of the (M, g) batch xi as xi0 + nu + B mu with integer
-    vectors nu, mu and small xi0.
+def _halves(chars):
+    """The (C, g) arrays p and q of a sequence of characteristics."""
+    return (np.array([c.p for c in chars], dtype=float),
+            np.array([c.q for c in chars], dtype=float))
 
-    Returns (xi0, mu, fac) with theta[p,q](xi) = fac * theta[p,q](xi0) and
-    fac = exp(2 pi i p.nu - 2 pi i mu.(xi0 + q) - i pi mu.B.mu).
+
+def _reduce(chars, xi, B):
+    """Split each row of the (M, g) batch xi as xi0 + nu + B mu with integer
+    vectors nu, mu and small xi0, once for all characteristics.
+
+    Returns (xi0, mu, fac) with theta[p_c,q_c](xi) = fac[c] * theta[p_c,q_c](xi0)
+    and fac (C, M) = exp(2 pi i p.nu - 2 pi i mu.(xi0 + q) - i pi mu.B.mu).
     """
-    p = np.asarray(char.p)
-    q = np.asarray(char.q)
+    p, q = _halves(chars)
     mu = np.round(np.linalg.solve(B.imag, xi.imag.T)).T.astype(int)   # (M, g)
     shifted = xi - mu @ B
     nu = np.round(shifted.real).astype(int)
     xi0 = shifted - nu
-    expo = (TWO_PI_I * (nu @ p)
-            - TWO_PI_I * np.einsum("mi,mi->m", mu, xi0 + q)
-            - 1j * math.pi * np.einsum("mi,ij,mj->m", mu, B, mu))
-    return xi0, mu, np.exp(expo)
+    common = (-TWO_PI_I * np.einsum("mi,mi->m", mu, xi0)
+              - 1j * math.pi * np.einsum("mi,ij,mj->m", mu, B, mu))
+    return xi0, mu, np.exp(TWO_PI_I * (p @ nu.T - q @ mu.T) + common)
 
 
-def _contract(coef, factors):
-    """sum_k coef[k] prod_i factors[i][m, k_i] for the K^g tensor coef and g
-    axis factors of shape (M, K): a matmul over the last axis, then one
-    einsum per remaining axis."""
-    K = coef.shape[-1]
-    M = factors[0].shape[0]
-    t = coef.reshape(-1, K) @ factors[-1].T                  # (K^(g-1), M)
-    for f in factors[-2::-1]:
-        t = np.einsum("akm,mk->am", t.reshape(len(t) // K, K, M), f)
-    return t[0]
+def _contract(coef, powers):
+    """sum_k coef[l, k] prod_i powers[i, k_i, m] for the (L, K^g) stack of
+    coefficient tensors coef and the (g, K, M) axis factors: one matmul over
+    the last axis for the whole stack, then one einsum per remaining axis.
+    Returns (L, M)."""
+    g, K, M = powers.shape
+    t = coef.reshape(-1, K) @ powers[-1]                     # (L K^(g-1), M)
+    for f in powers[-2::-1]:
+        t = np.einsum("akm,km->am", t.reshape(len(t) // K, K, M), f)
+    return t
 
 
-def _theta_raw(char, xi, B, lam_min, tol, order=0):
-    """Truncated lattice sum at the (M, g) batch xi of reduced arguments.
+def _theta_raw(chars, xi0, B, lam_min, tol, monomials=((1.0, ()),)):
+    """Truncated lattice sums of several characteristics at the (M, g) batch
+    xi0 of reduced arguments, each term weighted by a monomial in n.
 
-    Returns (val (M,), grad (M, g), hess (M, g, g), dB (M, g, g)); order 0
-    computes the value only, order 1 adds the xi-gradient and order 2 the
-    xi-Hessian and dB, the term-wise derivative in B_ij treating B_ij and
-    B_ji as independent entries.  Entries not computed are None.
+    Each entry (c, axes) of monomials weights the term of n by
+    c prod_{i in axes} n_i (the product in the coefficient tensor, c on the
+    sum): (1, ()) gives theta itself, ((2 pi i)^d, axes)
+    the xi-derivative along axes, and (i pi, (i, j)) the term-wise
+    derivative in B_ij (B_ij and B_ji taken as independent entries).
+    Returns (C, len(monomials), M).
+
+    All characteristics sum over the same box n = k + p, k in [-r, r]^g.
+    The axis factors exp(2 pi i k_i xi0_i) do not depend on the
+    characteristic; they are powers of exp(2 pi i xi0_i), one table for all.
+    q enters each coefficient tensor as the phase exp(2 pi i n.q), and p as
+    the per-argument factor exp(2 pi i p.xi0).
     """
-    M, g = xi.shape
-    p = np.asarray(char.p)
-    q = np.asarray(char.q)
-    im_shift = np.max(np.linalg.norm(xi.imag, axis=1)) if xi.size else 0.0
+    M, g = xi0.shape
+    p, q = _halves(chars)
+    im_shift = np.max(np.linalg.norm(xi0.imag, axis=1)) if xi0.size else 0.0
     radius = math.sqrt(max(math.log(1.0 / tol), 1.0) / (math.pi * lam_min)) \
         + im_shift / lam_min + 1.5
     r = int(math.ceil(radius))
-    nk = np.arange(-r, r + 1)[None, :] + p[:, None]          # (g, K): n_i = k + p_i
-    n = np.stack(np.meshgrid(*nk, indexing="ij"), axis=-1)   # (K,)*g + (g,)
-    coef = np.exp(1j * math.pi * np.einsum("...i,ij,...j->...", n, B, n))
-    e = np.exp(TWO_PI_I * (xi + q).T[:, :, None] * nk[:, None, :])   # (g, M, K)
-    val = _contract(coef, list(e))
-    if order == 0:
-        return val, None, None, None
-    w = TWO_PI_I * nk                                        # d/dxi_i weights
-
-    def weighted(*axes):
-        """The axis factors with e_i times w_i once per occurrence of i."""
-        f = list(e)
-        for i in axes:
-            f[i] = w[i] * f[i]
-        return f
-
-    grad = np.stack([_contract(coef, weighted(i)) for i in range(g)], axis=1)
-    if order == 1:
-        return val, grad, None, None
-    hess = np.empty((M, g, g), dtype=complex)
-    dB = np.empty((M, g, g), dtype=complex)
-    for i in range(g):
-        for j in range(i, g):
-            hess[:, i, j] = hess[:, j, i] = _contract(coef, weighted(i, j))
-            dB_coef = 1j * math.pi * n[..., i] * n[..., j] * coef
-            dB[:, i, j] = dB[:, j, i] = _contract(dB_coef, list(e))
-    return val, grad, hess, dB
+    k = np.arange(-r, r + 1)
+    grid = np.stack(np.meshgrid(*[k] * g, indexing="ij"), axis=-1).reshape(-1, g)
+    n = grid[None, :, :] + p[:, None, :]                     # (C, K^g, g)
+    coef = np.exp(1j * math.pi * np.einsum("cai,ij,caj->ca", n, B, n)
+                  + TWO_PI_I * np.einsum("cai,ci->ca", n, q))
+    stack = np.stack([np.prod(n[:, :, list(axes)], axis=-1) * coef
+                      for _, axes in monomials], axis=1)     # (C, W, K^g)
+    # z^k for k = -r..r: running products of z = exp(2 pi i xi0) and of 1/z
+    z, zinv = np.exp(TWO_PI_I * xi0.T), np.exp(-TWO_PI_I * xi0.T)      # (g, M)
+    powers = np.empty((g, len(k), M), dtype=complex)
+    powers[:, r] = 1.0
+    for j in range(1, r + 1):
+        np.multiply(powers[:, r + j - 1], z, out=powers[:, r + j])
+        np.multiply(powers[:, r - j + 1], zinv, out=powers[:, r - j])
+    sums = _contract(stack.reshape(-1, len(k) ** g), powers)
+    scale = np.array([c for c, _ in monomials])
+    shift = np.exp(TWO_PI_I * (p @ xi0.T))                  # (C, M)
+    return (sums.reshape(len(chars), len(monomials), M)
+            * scale[None, :, None] * shift[:, None, :])
 
 
-def _theta_values(char, xi, B, deriv, tol):
-    """theta[p,q] or one of its xi-derivatives over the (M, g) batch xi."""
+def _theta_values(chars, xi, B, deriv, tol):
+    """theta[p,q] or one of its xi-derivatives over the (M, g) batch xi, for
+    each characteristic in chars: (C, M)."""
     B, lam_min = _check_b(B)
     g = xi.shape[1]
-    if g != char.genus:
+    if any(c.genus != g for c in chars):
         raise ValueError("characteristic size does not match xi")
     if len(deriv) > 2:
         raise ValueError("derivatives of order <= 2 only")
     if any(not 0 <= i < g for i in deriv):
         raise ValueError(f"derivative axes must lie in [0, {g})")
-    xi0, mu, fac = _reduce(char, xi, B)
-    val, grad, hess, _ = _theta_raw(char, xi0, B, lam_min, tol, order=len(deriv))
-    if len(deriv) == 0:
-        return fac * val
-    if len(deriv) == 1:
-        i, = deriv
-        return fac * (grad[:, i] - TWO_PI_I * mu[:, i] * val)
-    i, j = deriv
-    return fac * (hess[:, i, j]
-                  - TWO_PI_I * mu[:, i] * grad[:, j]
-                  - TWO_PI_I * mu[:, j] * grad[:, i]
-                  + (TWO_PI_I ** 2) * mu[:, i] * mu[:, j] * val)
+    xi0, mu, fac = _reduce(chars, xi, B)
+    # d/dxi_i (fac F(xi0)) = fac (d/dxi0_i - 2 pi i mu_i) F: expand the product
+    # over the subsets of deriv taken by d/dxi0
+    subsets = [s for size in range(len(deriv) + 1)
+               for s in itertools.combinations(range(len(deriv)), size)]
+    sums = _theta_raw(chars, xi0, B, lam_min, tol,
+                      [(TWO_PI_I ** len(s), tuple(deriv[a] for a in s))
+                       for s in subsets])
+    out = 0.0
+    for w, s in enumerate(subsets):
+        rest = [deriv[a] for a in range(len(deriv)) if a not in s]
+        out = out + sums[:, w] * np.prod([-TWO_PI_I * mu[:, i] for i in rest],
+                                         axis=0)
+    return fac * out
 
 
 def theta(char, xi, B, deriv=(), tol=1e-12):
@@ -226,15 +237,21 @@ def theta(char, xi, B, deriv=(), tol=1e-12):
     reduced representatives).
     """
     xi = np.asarray(xi, dtype=complex)
-    out = _theta_values(char, np.atleast_2d(xi), B, tuple(deriv), tol)
+    out = _theta_values([char], np.atleast_2d(xi), B, tuple(deriv), tol)[0]
     return out[0] if xi.ndim <= 1 else out
 
 
-def theta_batch(char, xi, B, tol=1e-12):
+def theta_batch(chars, xi, B, tol=1e-12):
     """Vectorized theta values over an (M, g) batch of arguments: the entry
-    point for quadrature-scale workloads."""
+    point for quadrature-scale workloads.
+
+    chars is one characteristic (returns (M,)) or a sequence of them
+    (returns (C, M)); a sequence shares one argument reduction, one table of
+    axis factors and one contraction."""
     xi = np.atleast_2d(np.asarray(xi, dtype=complex))
-    return _theta_values(char, xi, B, (), tol)
+    if isinstance(chars, ThetaCharacteristic):
+        return _theta_values([chars], xi, B, (), tol)[0]
+    return _theta_values(list(chars), xi, B, (), tol)
 
 
 def theta_gradient0(char, B, tol=1e-12):
@@ -254,11 +271,13 @@ def heat_equation_residual(char, xi, B, tol=1e-13):
     truncation or reduction error (tests difference `theta` in B for that).
     """
     B, lam_min = _check_b(B)
-    xi0, _, _ = _reduce(char, np.atleast_2d(np.asarray(xi, dtype=complex)), B)
-    _, _, hess, dB = _theta_raw(char, xi0, B, lam_min, tol, order=2)
-    lhs = dB[0]
-    rhs = hess[0] / (4j * math.pi)
-    return float(np.max(np.abs(lhs - rhs)))
+    xi0, _, _ = _reduce([char], np.atleast_2d(np.asarray(xi, dtype=complex)), B)
+    pairs = list(itertools.product(range(char.genus), repeat=2))
+    sums = _theta_raw([char], xi0, B, lam_min, tol,
+                      [(TWO_PI_I ** 2, ij) for ij in pairs]
+                      + [(1j * math.pi, ij) for ij in pairs])[0, :, 0]
+    hess, dB = sums[:len(pairs)], sums[len(pairs):]
+    return float(np.max(np.abs(dB - hess / (4j * math.pi))))
 
 
 # ---------------------------------------------------------------------------

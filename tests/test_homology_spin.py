@@ -178,6 +178,31 @@ def test_calibration_bijective_on_evens(g2_setup):
     assert len(seen) == 10
 
 
+def test_calibration_searches_cycles_once_per_period_data(g2_setup, monkeypatch):
+    """The h_delta monodromies depend on the period data and delta alone:
+    calibrating all 10 even spins on one PeriodData searches each of the 4
+    cycles once for each of the 2 reference characteristics, and every
+    characteristic is the one a fresh PeriodData gives."""
+    _, base = g2_setup
+    pd = dataclasses.replace(base, _cache={})
+    searches = []
+    find = sf.find_torus_cycle
+
+    def counted(*args, **kwargs):
+        searches.append(args[1:3])
+        return find(*args, **kwargs)
+
+    monkeypatch.setattr(sf, "find_torus_cycle", counted)
+    even = [s for s in hs.enumerate_spin_structures(2) if s.is_even]
+    chars = [hs.calibrate_characteristic((s.sigma_a, s.sigma_b), pd)
+             for s in even]
+    assert len(searches) == 8
+    for spin, char in zip(even, chars):
+        fresh = dataclasses.replace(base, _cache={})
+        assert char == hs.calibrate_characteristic(
+            (spin.sigma_a, spin.sigma_b), fresh)
+
+
 def test_calibration_delta_independent(g2_setup):
     _, pd = g2_setup
     ch = th.even_characteristics(2)[2]
