@@ -218,9 +218,14 @@ def cmd_spectrum(args):
 def cmd_determinants(args):
     from . import determinants as det
     m = _load_moduli(args.moduli)
-    spins = _select_spins(args.spins, m.genus)
+    richardson, cache = not args.no_richardson, {}
+    if args.spins:
+        spins = _select_spins(args.spins, m.genus)
+    else:
+        spins = det.best_even_spins(m, 2, h=args.h, richardson=richardson,
+                                    cache=cache)
     out = det.spin_independence_test(m, spins, h=args.h, n_eigs=args.num_eigs,
-                                     richardson=not args.no_richardson)
+                                      richardson=richardson, cache=cache)
     payload = _report_header(vars(args))
     payload["moduli"] = m.to_dict()
     payload["reports"] = [r.to_dict() for r in out["reports"]]
@@ -310,7 +315,10 @@ def build_parser():
 
     p = sub.add_parser("determinants", help="T(0), comparison formula, Q test")
     p.add_argument("--moduli", required=True)
-    p.add_argument("--spins", default="even:0,even:1")
+    p.add_argument("--spins", default=None,
+                   help="comma-separated spins (even:k or k); by default the "
+                        "two even spins with the largest |theta[p,q](0)| on "
+                        "the run's period matrix")
     # with Richardson on, the partner mesh has size 1.4 h, which must still
     # resolve the shortest slit (1.4 * 0.05 does not on the README's g2.json)
     p.add_argument("--h", type=float, default=0.04)

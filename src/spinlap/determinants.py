@@ -356,6 +356,41 @@ def _hashable(obj):
     return obj
 
 
+def _geometry(moduli, h, richardson, cache):
+    """(surface, mesh, periods, Richardson partner mesh or None) of a run,
+    kept in `cache` under everything that shapes them (moduli, h,
+    richardson), so one cache can be shared across moduli points and
+    settings."""
+    from . import surface as sf
+    from . import hodge
+
+    cache = cache if cache is not None else {}
+    key = ("geom", _hashable(moduli.to_dict()), h, bool(richardson))
+    if key not in cache:
+        surf = sf.build_surface(moduli)
+        mesh = sf.generate_mesh(surf, h=h)
+        periods = hodge.period_matrix(mesh)
+        mesh2 = sf.generate_mesh(surf, h=1.4 * h) if richardson else None
+        cache[key] = (surf, mesh, periods, mesh2)
+    return cache[key]
+
+
+def best_even_spins(moduli, count, h=0.02, richardson=True, cache=None):
+    """The `count` even spin structures with the largest |theta[p,q](0)|
+    (ties in enumeration order), ranked on the period matrix that
+    determinant_report computes, and caches in `cache`, for the same
+    moduli, h and richardson."""
+    from . import homology_spin as hs
+
+    periods = _geometry(moduli, h, richardson, cache)[2]
+    evens = [spin for spin in hs.enumerate_spin_structures(moduli.genus)
+             if spin.is_even]
+    size = [abs(periods.theta0(hs.calibrate_characteristic(
+        (spin.sigma_a, spin.sigma_b), periods))) for spin in evens]
+    order = sorted(range(len(evens)), key=lambda k: -size[k])
+    return [evens[k] for k in order[:count]]
+
+
 def determinant_report(moduli, spin, h=0.02, n_eigs=280, richardson=True,
                        cache=None):
     """Full pipeline for one spin structure: mesh(es) -> periods -> F-spectrum
@@ -365,23 +400,10 @@ def determinant_report(moduli, spin, h=0.02, n_eigs=280, richardson=True,
     keyed on everything that shapes them (moduli, h, richardson),
     so one cache can be shared across moduli points and settings.
     """
-    from . import surface as sf
-    from . import hodge
     from . import homology_spin as hs
     from . import spectral as spec
 
-    cache = cache if cache is not None else {}
-    key = ("geom", _hashable(moduli.to_dict()), h, bool(richardson))
-    if key not in cache:
-        surf = sf.build_surface(moduli)
-        mesh = sf.generate_mesh(surf, h=h)
-        periods = hodge.period_matrix(mesh)
-        mesh2 = None
-        if richardson:
-            mesh2 = sf.generate_mesh(surf, h=1.4 * h)
-        cache[key] = (surf, mesh, periods, mesh2)
-    surf, mesh, periods, mesh2 = cache[key]
-
+    surf, mesh, periods, mesh2 = _geometry(moduli, h, richardson, cache)
     char = hs.calibrate_characteristic((spin.sigma_a, spin.sigma_b), periods)
     lift = hs.build_sign_lift(mesh, spin)
     res = spec.eigenvalues(spec.assemble_operator(mesh, lift, "friedrichs"),
@@ -404,10 +426,12 @@ def determinant_report(moduli, spin, h=0.02, n_eigs=280, richardson=True,
     return report, t0_data
 
 
-def spin_independence_test(moduli, spins, h=0.02, n_eigs=280, richardson=True):
+def spin_independence_test(moduli, spins, h=0.02, n_eigs=280, richardson=True,
+                           cache=None):
     """Q(p,q) = log det Delta_S - 2 log|theta[pq](0)| across even spins at a
-    fixed moduli point and matched mesh; the paper predicts equal values."""
-    cache = {}
+    fixed moduli point and matched mesh; the paper predicts equal values.
+    `cache` is determinant_report's."""
+    cache = cache if cache is not None else {}
     reports = []
     for spin in spins:
         rep, _ = determinant_report(moduli, spin, h=h, n_eigs=n_eigs,

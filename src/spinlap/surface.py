@@ -462,10 +462,20 @@ def generate_mesh(surf: TranslationSurface, h: float, grading: float = None,
     bias); ring count and angular resolution follow so the innermost ring
     radius is ~0.75 h and ring spacing matches h.
 
+    On each torus of a glued surface the triangles are the unique Delaunay
+    triangulation of the periodic point set after a fixed tie-break shift of
+    1e-9 of the lattice size (the vertices keep their unshifted places), so
+    they do not depend on the order of the points.  They are computed on the
+    base tile plus a strip of its neighbours, and the strip is certified:
+    every kept circumdisk lies inside it (_tile_triangles).  Two cone
+    patches that would touch or overlap on a torus raise MeshResolutionError
+    before anything is triangulated.
+
     `structure` (as stored on a previously built mesh) freezes all discrete
-    counts (grid sizes, slit node counts, ring counts, radii); passing the
-    structure of a base mesh to nearby moduli gives topologically identical
-    meshes whose discretization errors cancel in finite differences.
+    counts (grid sizes, slit node counts, ring counts, radii) and the
+    triangles; passing the structure of a base mesh to nearby moduli gives
+    topologically identical meshes whose discretization errors cancel in
+    finite differences.  Its "strip" entry holds each torus's strip width.
     """
     if h <= 0 or (grading is not None and not (0 < grading < 1)):
         raise ValueError("h > 0 and grading in (0, 1) required")
@@ -563,6 +573,7 @@ def _glued_mesh(surf, h, grading, structure=None):
 
     ring_radii = {s: [r0 * grading ** m for m in range(rings)]
                   for s, r0 in r0s.items()}
+    _check_patches_apart(surf, ring_radii, grading, h)
     slit_params = {}
     for sl in surf.slits:
         slit_params[sl.index], n_mids[sl.index] = _slit_node_params(
@@ -577,20 +588,38 @@ def _glued_mesh(surf, h, grading, structure=None):
         torus_pts.append(_torus_points(surf, local, slit_params, ring_radii,
                                        n_ang, z[kept[j]]))
 
-    mesh, tris = _assemble_glued(surf, torus_pts, slit_params, ring_radii, h,
-                                 grading, n_ang,
-                                 None if structure is None else structure["tris"])
+    mesh, tris, strips = _assemble_glued(surf, torus_pts, slit_params,
+                                         ring_radii, h, grading, n_ang, structure)
     mesh.structure = {"r0": r0s, "rings": rings, "n_ang": n_ang,
                       "grading": grading, "n_mid": n_mids, "grid": grid,
-                      "kept": kept, "tris": tris}
+                      "kept": kept, "tris": tris, "strip": strips}
     return mesh
+
+
+def _check_patches_apart(surf, ring_radii, grading, h):
+    """Raise MeshResolutionError when two cones on a shared torus, at the
+    nearest lattice image, are closer than the sum of their outer ring radii
+    plus a ring spacing ((1 - grading) times the innermost ring radius, the
+    finest step of the grading): their patches would touch or overlap, and
+    ring vertices of one would land on or inside the rings of the other."""
+    cones = surf.cone_points
+    for i, p in enumerate(cones):
+        for q in cones[i + 1:]:
+            rp, rq = ring_radii[p.slit_index], ring_radii[q.slit_index]
+            need = rp[0] + rq[0] + (1.0 - grading) * min(rp[-1], rq[-1])
+            for j in sorted(set(p.incident_tori) & set(q.incident_tori)):
+                gap = _lattice_distance(q.position - p.position, *surf.tori[j])
+                if gap < need:
+                    raise MeshResolutionError(
+                        "the patches of cones %d and %d overlap on torus %d at "
+                        "h = %g: %.4g apart, their rings need %.4g"
+                        % (p.index, q.index, j, h, gap, need))
 
 
 def _grid_points(surf, j, shape):
     """Torus j's structured grid, offset by half a cell.  A deterministic
-    sub-h jitter breaks the cocircular degeneracy of perfect squares
-    (otherwise the periodic-tiling Delaunay may split tile copies along
-    different diagonals)."""
+    sub-h jitter keeps the grid squares from being cocircular, so that their
+    diagonals follow the geometry rather than the tie-break shift."""
     a, b = surf.tori[j]
     ns, nt = shape
     jit = np.random.default_rng(90011 + 7 * j).uniform(-0.09, 0.09,
@@ -660,47 +689,97 @@ def _torus_points(surf, slits, slit_params, ring_radii, n_ang, grid_z):
 # tile offsets (di, dk) of the 3 x 3 periodic tiling
 _TILES = [(di, dk) for di in (-1, 0, 1) for dk in (-1, 0, 1)]
 
+# Margin, in mesh sizes h, by which the strip of neighbouring tiles that is
+# triangulated with the base tile reaches past it (_tile_triangles).  A kept
+# triangle's circumdisk reaches at most 2 R past its centroid, and R stays
+# below about 1.06 h on the meshes this module makes, so one strip is
+# certified at once.
+_STRIP_MARGIN = 2.5
 
-def _tile_triangles(z, a, b, anchor):
-    """Triangles of the torus points z: the Delaunay triangles of their 3 x 3
-    tiling that have their centroid in the base tile, in Delaunay order and
-    counter-clockwise, as (n, 3) indices t len(z) + i into the tiling (point
-    i in tile t).
 
-    Cocircular points across the tile boundary (ring and slit nodes lie
-    symmetric about their slit) may let two tile copies split a tie
-    differently, so that the kept triangles do not close up; the points are
-    then triangulated again with the ties broken by a fixed shift of 1e-9
-    of the lattice size, the same in every tile, and kept at their places.
+def _tie_break(z, a, b):
+    """The fixed shift of 1e-9 of the lattice size that breaks the ties of
+    cocircular points: seeded draws handed out in the lexicographic order of
+    the points, so that a point's shift does not depend on its place in z."""
+    draws = np.random.default_rng(7).uniform(-1.0, 1.0, (2, len(z)))
+    shift = np.empty(len(z), dtype=complex)
+    shift[np.lexsort((z.imag, z.real))] = draws[0] + 1j * draws[1]
+    return 1e-9 * min(abs(a), abs(b)) * shift
+
+
+def _tile_triangles(z, a, b, anchor, h):
+    """Triangles of the torus points z, as (n, 3) indices t len(z) + i into
+    their 3 x 3 tiling (point i in tile t), counter-clockwise, with the
+    centroid in the base tile; and the strip width w that gave them.
+
+    The triangles are the unique Delaunay triangulation of the periodic
+    point set after the fixed tie-break shift (_tie_break): ring and slit
+    nodes are cocircular, and the shift decides every tie the same way
+    whatever the order of the points.  The points keep their unshifted
+    positions in the mesh.
+
+    Only the base tile plus a strip of its neighbours, lattice coordinates
+    in [-w, 1 + w]^2 with w from _STRIP_MARGIN h, is triangulated.  The
+    result is certified: 2 len(z) triangles are kept, and each one's
+    circumdisk lies inside the strip, so no periodic image of a point falls
+    inside it and it is Delaunay for the whole periodic set.  Otherwise w
+    doubles, up to w = 1, the whole 3 x 3 tiling, where it stops.  Either
+    way the triangles must close up into a triangulation of the torus.
     """
-    tiles = _in_tile_delaunay(z, a, b, anchor)
+    zs = z + _tie_break(z, a, b)
+    area = abs((np.conj(a) * b).imag)
+    w = min(1.0, float(_STRIP_MARGIN * h * max(abs(a), abs(b)) / area))
+    while True:
+        tiles, certified = _strip_delaunay(zs, a, b, anchor, w)
+        if certified or w == 1.0:
+            break
+        w = min(1.0, 2.0 * w)
     if not _closes_up(tiles, len(z)):
-        shift = np.random.default_rng(7).uniform(-1.0, 1.0, (2, len(z)))
-        tiles = _in_tile_delaunay(
-            z + 1e-9 * min(abs(a), abs(b)) * (shift[0] + 1j * shift[1]),
-            a, b, anchor)
-        if not _closes_up(tiles, len(z)):
-            raise MeshConformityError("the periodic Delaunay triangles of a "
-                                      "torus do not close up")
-    return tiles
+        raise MeshConformityError("the periodic Delaunay triangles of a "
+                                  "torus do not close up")
+    return tiles, w
 
 
-def _in_tile_delaunay(z, a, b, anchor):
-    tiled = np.concatenate([z + di * a + dk * b for di, dk in _TILES])
-    simplices = Delaunay(np.column_stack([tiled.real, tiled.imag])).simplices
+def _strip_delaunay(zs, a, b, anchor, w):
+    """The Delaunay triangles of the tiled points zs with lattice
+    coordinates in [-w, 1 + w]^2 whose centroid lies in the base tile (as
+    in _tile_triangles), and whether they are certified for the periodic
+    set."""
     Minv = np.linalg.inv(np.array([[a.real, b.real], [a.imag, b.imag]]))
+
+    def lattice(p):
+        # written out: a matrix product may fuse multiply-adds, which moves
+        # centroids on the tile boundary across it
+        x, y = p.real - anchor.real, p.imag - anchor.imag
+        return Minv[0, 0] * x + Minv[0, 1] * y, Minv[1, 0] * x + Minv[1, 1] * y
+
+    off = np.array(_TILES)
+    tiled = (zs + (off[:, 0] * a + off[:, 1] * b)[:, None]).ravel()
+    s, t = lattice(tiled)
+    pick = np.flatnonzero((-w <= s) & (s <= 1.0 + w)
+                          & (-w <= t) & (t <= 1.0 + w))
+    centre = anchor + 0.5 * (a + b)          # qhull sees small coordinates
+    simplices = pick[Delaunay(np.column_stack([tiled[pick].real - centre.real,
+                                               tiled[pick].imag - centre.imag])
+                              ).simplices]
     corner_pos = tiled[simplices]                        # (S, 3)
-    zc = corner_pos.mean(axis=1)
-    x, y = zc.real - anchor.real, zc.imag - anchor.imag
-    # written out: a matrix product may fuse multiply-adds, which moves
-    # centroids on the tile boundary across it
-    u = Minv[0, 0] * x + Minv[0, 1] * y
-    v = Minv[1, 0] * x + Minv[1, 1] * y
+    u, v = lattice(corner_pos.mean(axis=1))
     inside = (0.0 <= u) & (u < 1.0) & (0.0 <= v) & (v < 1.0)
+    simplices, corner_pos = simplices[inside], corner_pos[inside]
     d1 = corner_pos[:, 1] - corner_pos[:, 0]
     d2 = corner_pos[:, 2] - corner_pos[:, 0]
-    ccw = d1.real * d2.imag - d1.imag * d2.real > 0
-    return np.where(ccw[:, None], simplices, simplices[:, [0, 2, 1]])[inside]
+    cross = d1.real * d2.imag - d1.imag * d2.real
+    tiles = np.where((cross > 0)[:, None], simplices, simplices[:, [0, 2, 1]])
+
+    # the circumdisks against the strip, in lattice coordinates (a disk of
+    # radius R spans R |grad s| = R |Minv[0]| in s)
+    offset = (abs(d1) ** 2 * d2 - abs(d2) ** 2 * d1) / (2j * cross)
+    cs, ct = lattice(corner_pos[:, 0] + offset)
+    rs, rt = np.outer(np.hypot(Minv[:, 0], Minv[:, 1]), np.abs(offset))
+    certified = (len(tiles) == 2 * len(zs)
+                 and np.all((-w <= cs - rs) & (cs + rs <= 1.0 + w)
+                            & (-w <= ct - rt) & (ct + rt <= 1.0 + w)))
+    return tiles, certified
 
 
 def _closes_up(tiles, n):
@@ -719,14 +798,16 @@ def _closes_up(tiles, n):
 
 
 def _assemble_glued(surf, torus_pts, slit_params, ring_radii, h, grading, n_ang,
-                    frozen_tris=None):
+                    frozen=None):
     """Glue the per-torus triangulations into one mesh.
 
     Vertex ids: the cone points first, then both copies of every slit node
     (slit by slit, node by node; copy 0 is (Ta+) = (Tb-), copy 1 is (Ta-) =
     (Tb+)), then the other points of each torus in point order.  A slit-node
-    corner takes the copy on the side of its triangle.  Returns the mesh and
-    the per-torus triangles as tiling indices (see _tile_triangles).
+    corner takes the copy on the side of its triangle.  Returns the mesh, the
+    per-torus triangles as tiling indices and the per-torus strip widths
+    (see _tile_triangles), both taken from `frozen` (a mesh structure) when
+    given.
     """
     cones, slits = surf.cone_points, surf.slits
     chains = [sl.c_start + slit_params[sl.index] * sl.direction for sl in slits]
@@ -737,7 +818,9 @@ def _assemble_glued(surf, torus_pts, slit_params, ring_radii, h, grading, n_ang,
     vchart = ([np.array([c.incident_tori[0] for c in cones])]
               + [np.full(2 * len(c), sl.torus_a) for c, sl in zip(chains, slits)])
     next_id = chain_vid[-1]
-    tris, tchart, tpos, twrap, tiles, ring_vid = [], [], [], [], {}, {}
+    tris, tchart, tpos, twrap, ring_vid = [], [], [], [], {}
+    tiles, strips = (({}, {}) if frozen is None
+                     else (frozen["tris"], frozen["strip"]))
     for j, (z, slit, node, cone, rings) in enumerate(torus_pts):
         a, b = surf.tori[j]
         regular = (slit < 0) & (cone < 0)
@@ -750,8 +833,8 @@ def _assemble_glued(surf, torus_pts, slit_params, ring_radii, h, grading, n_ang,
         for cid, span in rings.items():
             ring_vid[(j, cid)] = gid[span].reshape(-1, n_ang - 1)
 
-        tiles[j] = (_tile_triangles(z, a, b, surf.anchors[j])
-                    if frozen_tris is None else frozen_tris[j])
+        if frozen is None:
+            tiles[j], strips[j] = _tile_triangles(z, a, b, surf.anchors[j], h)
         li = tiles[j] % len(z)
         off = np.array(_TILES)[tiles[j] // len(z)]            # (n, 3, 2)
         pos = z[li] + off[..., 0] * a + off[..., 1] * b
@@ -792,7 +875,7 @@ def _assemble_glued(surf, torus_pts, slit_params, ring_radii, h, grading, n_ang,
                     "at h = %g" % (w, j, h))
         mesh.cycle_paths.append(paths)
     validate_mesh(mesh)
-    return mesh, tiles
+    return mesh, tiles, strips
 
 
 def slit_sign(mesh: SpinMesh, vertices, charts):

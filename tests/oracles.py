@@ -361,3 +361,55 @@ def dense_pencil_eigenvalues(A, M, count):
     nu = scipy.linalg.eigh(M, A + M, eigvals_only=True,
                            subset_by_index=[n - count, n - 1])
     return np.sort(1.0 / nu - 1.0)
+
+
+# ---------------------------------------------------------------------------
+# periodic Delaunay triangulation of a torus, from the whole 3 x 3 tiling
+
+# tile t of the 3 x 3 tiling is shifted by (t // 3 - 1) a + (t % 3 - 1) b
+TILE_OFFSETS = [(di, dk) for di in (-1, 0, 1) for dk in (-1, 0, 1)]
+
+
+def tie_break_shift(z, a, b):
+    """The tie-break shift of the torus points z: 1e-9 min(|a|, |b|) times
+    uniform draws in [-1, 1]^2 of numpy's default_rng(7), the k-th draw going
+    to the k-th point in the order of (Re z, Im z)."""
+    n = len(z)
+    draws = np.random.default_rng(7).uniform(-1.0, 1.0, (2, n))
+    order = sorted(range(n), key=lambda i: (z[i].real, z[i].imag))
+    shift = np.zeros(n, dtype=complex)
+    for k, i in enumerate(order):
+        shift[i] = complex(draws[0, k], draws[1, k])
+    return 1e-9 * min(abs(a), abs(b)) * shift
+
+
+def periodic_triangle_keys(tiles, n):
+    """The periodic triangles given as tiling indices t n + i (point i in
+    tile t) as a set of keys that do not depend on the tile a triangle was
+    taken from nor on the order of its corners: its corners (i, di, dk)
+    sorted after the translation that puts the least point at (0, 0)."""
+    keys = set()
+    for tri in np.asarray(tiles):
+        corners = [(int(x) % n,) + TILE_OFFSETS[int(x) // n] for x in tri]
+        least = min(c[0] for c in corners)
+        keys.add(min(tuple(sorted((i, di - c[1], dk - c[2])
+                                  for i, di, dk in corners))
+                      for c in corners if c[0] == least))
+    return keys
+
+
+def periodic_delaunay_keys(z, a, b, anchor):
+    """Keys (periodic_triangle_keys) of the Delaunay triangulation of the
+    periodic point set z + tie_break_shift + Z a + Z b: scipy's Delaunay of
+    the whole 3 x 3 tiling, the triangles with centroid in the base tile
+    anchor + [0, 1) a + [0, 1) b."""
+    from scipy.spatial import Delaunay
+    n = len(z)
+    zs = np.asarray(z) + tie_break_shift(z, a, b)
+    tiled = np.concatenate([zs + di * a + dk * b for di, dk in TILE_OFFSETS])
+    simplices = Delaunay(np.column_stack([tiled.real, tiled.imag])).simplices
+    centroid = tiled[simplices].mean(axis=1) - anchor
+    st = np.linalg.solve([[a.real, b.real], [a.imag, b.imag]],
+                         np.vstack([centroid.real, centroid.imag]))
+    inside = np.all((st >= 0.0) & (st < 1.0), axis=0)
+    return periodic_triangle_keys(simplices[inside], n)

@@ -2,9 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from spinlap import cli, surface as sf
+from spinlap import cli, determinants as det, hodge, homology_spin as hs
+from spinlap import surface as sf
+
+import oracles
 
 
 @pytest.fixture()
@@ -105,6 +109,32 @@ def test_determinants_default_h_meshes_richardson_pair(g2_moduli_file):
     with open(g2_moduli_file) as f:
         surf = sf.build_surface(sf.ModuliPoint.from_dict(json.load(f)))
     sf.generate_mesh(surf, h=1.4 * args.h)     # the Richardson partner mesh
+
+
+def test_determinants_defaults_to_the_best_conditioned_spins(
+        g2_moduli_file, tmp_path, monkeypatch):
+    seen = {}
+
+    def no_spectra(moduli, spins, **kwargs):
+        seen.update(spins=spins, cache=kwargs["cache"])
+        return {"reports": [], "max_delta_q": 0.0}
+
+    monkeypatch.setattr(det, "spin_independence_test", no_spectra)
+    assert cli.main(["determinants", "--moduli", g2_moduli_file,
+                     "--out", str(tmp_path)]) == 0
+    # the run's own period matrix, as determinant_report keeps it
+    (periods,) = [x for v in seen["cache"].values() for x in v
+                  if isinstance(x, hodge.PeriodData)]
+    ranked = []
+    for spin in hs.enumerate_spin_structures(2):
+        if spin.is_even:
+            ch = hs.calibrate_characteristic((spin.sigma_a, spin.sigma_b),
+                                             periods)
+            theta0 = oracles.brute_theta(ch.p, ch.q, np.zeros(2),
+                                         periods.b_matrix, radius=8)
+            ranked.append((abs(theta0), spin))
+    ranked.sort(key=lambda item: -item[0])
+    assert seen["spins"] == [spin for _, spin in ranked[:2]]
 
 
 @pytest.mark.slow

@@ -272,6 +272,76 @@ def test_ring_vertices_lie_at_their_polar_angle(moduli, h):
             assert np.max(np.abs(off)) < 1e-12
 
 
+# -- the periodic triangulation of each torus
+
+def _tiled_points(mesh, j):
+    """Torus j's points in triangulation order and its triangles as tiling
+    indices t n + i, read off the mesh: structure["tris"][j] holds the 2 n
+    triangles of its n points, in the order of the chart-j triangles."""
+    tiles = mesh.structure["tris"][j]
+    n = len(tiles) // 2
+    vid = mesh.triangles[mesh.tri_chart == j]
+    z = np.zeros(n, dtype=complex)
+    z[tiles % n] = mesh.vertices[vid, 0] + 1j * mesh.vertices[vid, 1]
+    return z, tiles, n
+
+
+def _assert_periodic_delaunay(mesh):
+    surf = mesh.surface
+    for j, (a, b) in enumerate(surf.tori):
+        z, tiles, n = _tiled_points(mesh, j)
+        assert (oracles.periodic_triangle_keys(tiles, n)
+                == oracles.periodic_delaunay_keys(z, a, b, surf.anchors[j]))
+
+
+@pytest.mark.parametrize("moduli, h", [
+    (_G2_MODULI, 0.056), (_G2_MODULI, 0.04), (_G2_MODULI, 0.02),
+    (_G3_MODULI, 0.045)],
+    ids=["g2-h0.056", "g2-h0.04", "g2-h0.02", "g3-h0.045"])
+def test_triangles_are_the_periodic_delaunay_of_the_tie_broken_points(
+        moduli, h):
+    mesh = sf.generate_mesh(sf.build_surface(moduli), h=h)
+    _assert_periodic_delaunay(mesh)
+    # certified on a strip, short of the whole 3 x 3 tiling
+    assert all(w < 1.0 for w in mesh.structure["strip"].values())
+
+
+def test_triangles_do_not_depend_on_the_point_order(monkeypatch):
+    surf = sf.build_surface(_G2_MODULI)
+    forward = sf.generate_mesh(surf, h=0.04)
+    torus_points = sf._torus_points
+
+    def reversed_points(*args):
+        z, slit, node, cone, rings = torus_points(*args)
+        n = len(z)
+        return (z[::-1], slit[::-1], node[::-1], cone[::-1],
+                {c: n - 1 - np.arange(span.start, span.stop)
+                 for c, span in rings.items()})
+
+    monkeypatch.setattr(sf, "_torus_points", reversed_points)
+    backward = sf.generate_mesh(surf, h=0.04)
+    for j in range(surf.genus):
+        tiles, rev = forward.structure["tris"][j], backward.structure["tris"][j]
+        n = len(tiles) // 2
+        # point i of the reversed list is point n - 1 - i of the forward one
+        rev = rev // n * n + n - 1 - rev % n
+        assert (oracles.periodic_triangle_keys(rev, n)
+                == oracles.periodic_triangle_keys(tiles, n))
+
+
+def test_too_narrow_strip_widens_until_certified(monkeypatch):
+    # a strip 0.02 h wide leaves boundary triangles whose circumdisks reach
+    # past it; the strip must widen until the triangles are the periodic
+    # Delaunay triangulation
+    monkeypatch.setattr(sf, "_STRIP_MARGIN", 0.02)
+    h = 0.04
+    mesh = sf.generate_mesh(sf.build_surface(_G2_MODULI), h=h)
+    for j, (a, b) in enumerate(mesh.surface.tori):
+        first = 0.02 * h * max(abs(a), abs(b)) / abs((np.conj(a) * b).imag)
+        assert mesh.structure["strip"][j] >= 4 * first
+    _assert_periodic_delaunay(mesh)
+
+
 def test_serialization_roundtrip(g2_mesh, tmp_path):
     path = tmp_path / "mesh.json"
     g2_mesh.save_json(path)
@@ -297,6 +367,29 @@ def test_genus3_build_and_mesh():
         assert abs(pa - m3.A[j]) < 1e-12
 
 
+@pytest.mark.parametrize("h", [0.05, 0.055, 0.06])
+def test_overlapping_cone_patches_raise_before_triangulating(h, monkeypatch):
+    # torus 1 of the g=3 point carries cones 1 (at 0.5) and 2 (at 0.75): at
+    # h = 0.05 their outer rings (radius 0.125) meet at 0.625, at 0.055 and
+    # 0.06 (radius 0.133) they overlap
+    def no_triangulation(*args):
+        raise AssertionError("triangulated overlapping cone patches")
+
+    monkeypatch.setattr(sf, "_tile_triangles", no_triangulation)
+    with pytest.raises(sf.MeshResolutionError, match="cones 1 and 2"):
+        sf.generate_mesh(sf.build_surface(_G3_MODULI), h=h)
+
+
+@pytest.mark.parametrize("moduli, h", [
+    (_G3_MODULI, 0.045), (_G3_MODULI, 0.032)]
+    + [(_G2_MODULI, h) for h in (0.056, 0.05, 0.04, 0.035, 0.028, 0.02)],
+    ids=["g3-h0.045", "g3-h0.032"]
+    + ["g2-h%g" % h for h in (0.056, 0.05, 0.04, 0.035, 0.028, 0.02)])
+def test_separate_cone_patches_mesh(moduli, h):
+    mesh = sf.generate_mesh(sf.build_surface(moduli), h=h)
+    assert sf.validate_mesh(mesh)["n_triangles"] == mesh.n_triangles
+
+
 def test_slit_across_a_torus_raises_resolution_error():
     # torus 1 is 0.875 wide; the slit (0.5) and its two cone patches (0.15
     # each) leave no regular vertex column for a b-cycle.  The two patches
@@ -307,9 +400,9 @@ def test_slit_across_a_torus_raises_resolution_error():
 
 
 def test_tied_periodic_delaunay_still_meshes():
-    # the tile copies of torus 1 split a tie among cocircular points
-    # differently, so the triangles kept from them do not close up until the
-    # ties are broken
+    # torus 1 has cocircular points across its tile boundary: unless every
+    # tile copy breaks their tie the same way, the kept triangles do not
+    # close up
     m = sf.ModuliPoint(genus=2, A=[0.8627 - 0.0642j, 0.8651],
                        B=[0.0823 + 1.1058j, 0.3461 + 0.7485j],
                        C=[0.2219 + 0.0782j, 0.2110 - 0.4196j])
