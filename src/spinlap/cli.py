@@ -31,6 +31,7 @@ _cap_threads()
 import numpy as np                                       # noqa: E402
 
 from . import __version__                                # noqa: E402
+from .errors import SpinlapError                         # noqa: E402
 
 
 def _config_hash(args_dict):
@@ -60,17 +61,26 @@ def _write_json(path, payload):
     print(f"wrote {path}")
 
 
+class UsageError(SpinlapError, ValueError):
+    """A command-line value that the parser could not check by itself."""
+
+
 def _select_spins(spec_str, g):
+    """Spin structures from comma-separated tokens k (all of them, in
+    enumeration order) or even:k (the even ones); UsageError names the valid
+    range of k for a token that is not an index in it."""
     from . import homology_spin as hs
     structs = hs.enumerate_spin_structures(g)
     evens = [s for s in structs if s.is_even]
     out = []
     for tok in spec_str.split(","):
         tok = tok.strip()
-        if tok.startswith("even:"):
-            out.append(evens[int(tok[5:])])
-        else:
-            out.append(structs[int(tok)])
+        pool, k = (evens, tok[5:]) if tok.startswith("even:") else (structs, tok)
+        if not (k.isdecimal() and int(k) < len(pool)):
+            raise UsageError(
+                f"spin {tok!r}: at genus {g} expected k in 0..{len(structs) - 1}"
+                f" or even:k with k in 0..{len(evens) - 1}")
+        out.append(pool[int(k)])
     return out
 
 
@@ -174,9 +184,9 @@ def cmd_spectrum(args):
     from . import homology_spin as hs
     from . import spectral as spec
     m = _load_moduli(args.moduli)
+    spin = _select_spins(args.spin, m.genus)[0]
     surf = sf.build_surface(m)
     mesh = sf.generate_mesh(surf, h=args.h)
-    spin = _select_spins(args.spin, m.genus)[0]
     lift = hs.build_sign_lift(mesh, spin)
     periods = char = None
     if args.extension == "holomorphic":
@@ -335,9 +345,13 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     os.makedirs(getattr(args, "out", ".") or ".", exist_ok=True)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except UsageError as exc:
+        parser.error(str(exc))          # exits with status 2
 
 
 if __name__ == "__main__":

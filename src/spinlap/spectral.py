@@ -53,7 +53,7 @@ from scipy.special import exp1
 from .cone_analysis import (cone_trace_constant, det_t_exponent,
                             pencil_coefficients)
 from .errors import SpinlapError
-from .surface import cone_angle, patch_triangle_ids, slit_sign
+from .surface import cone_angle, slit_sign
 
 EXTENSIONS = ("friedrichs", "szego", "holomorphic", "holomorphic_local")
 
@@ -92,6 +92,9 @@ _QB = np.array([
     [0.470142064105115, 0.059715871789770, 0.470142064105115],
     [0.470142064105115, 0.470142064105115, 0.059715871789770],
 ])
+
+
+_CUTOFF = (0.35, 0.85)      # chi's (r1, r2) over the patch's outer radius
 
 
 def smoothstep(r, r1, r2):
@@ -150,20 +153,18 @@ class DiscreteOperator:
     dof_of_vertex: np.ndarray
     n_p1: int
     enrichment: list            # [{'cone': k, 'mode': (m, s) | 'szego', 'col': j}]
-    cutoff: tuple = (0.35, 0.85)
 
     @property
     def n_dofs(self):
         return self.stiffness.shape[0]
 
 
-def assemble_operator(mesh, lift, extension, periods=None, char=None,
-                      cutoff=(0.35, 0.85)):
+def assemble_operator(mesh, lift, extension, periods=None, char=None):
     """Stiffness/mass pair for the requested extension.
 
     periods/char are required for the 'holomorphic' (exact Szego kernel)
-    variant.  cutoff = (r1, r2) are the enrichment cutoff radii as fractions
-    of the patch outer radius.
+    variant.  The cone modes of 'szego' and 'holomorphic_local' are cut off
+    by chi (_CUTOFF) inside their patch and integrated over its triangles.
     """
     if extension not in EXTENSIONS:
         raise ValueError(f"unknown extension {extension!r}")
@@ -228,15 +229,14 @@ def assemble_operator(mesh, lift, extension, periods=None, char=None,
         border_m.append(_border_triplets(dofs, cols, wq, hat, E)[0])
     elif extension in ("szego", "holomorphic_local"):
         dbar_hat = eta * -e / (4j * area[:, None])                   # (nt, 3)
-        for k in range(ncone):
-            r0 = mesh.cone_patches[k].outer_radius
-            tris = patch_triangle_ids(mesh, k, cutoff[1] * r0 * 1.05)
-            E, dE = _cone_mode_fields(mesh, k, modes, tris, cutoff)
+        for k, patch in enumerate(mesh.cone_patches):
+            tris = patch.triangles
+            E, dE = _cone_mode_fields(mesh, k, modes)
             cols = n_p1 + len(modes) * k + np.arange(len(modes))
             wq, hat = area[tris, None] * _QW, eta[tris, None, :] * _QB
             trip, gram = _border_triplets(dofs[tris], cols, wq, hat, E)
             if np.linalg.cond(gram) > 1e12:
-                raise AssemblyError("enrichment Gram near-singular; enlarge cutoff")
+                raise AssemblyError("enrichment Gram near-singular")
             border_m.append(trip)
             d = np.broadcast_to(dbar_hat[tris, None, :], hat.shape)
             border_a.append(_border_triplets(dofs[tris], cols, wq, d, dE)[0])
@@ -254,32 +254,33 @@ def assemble_operator(mesh, lift, extension, periods=None, char=None,
     return DiscreteOperator(mesh=mesh, lift=lift, extension=extension,
                             stiffness=A.tocsr(), mass=M.tocsr(),
                             dof_of_vertex=dof_of_vertex, n_p1=n_p1,
-                            enrichment=enrichment, cutoff=tuple(cutoff))
+                            enrichment=enrichment)
 
 
-def _cone_mode_fields(mesh, k, modes, tris, cutoff):
+def _cone_mode_fields(mesh, k, modes):
     """The cutoff cone modes chi(r) (r/r0)^p f_{k,m,s} of `modes` and their
-    dbar at the 7 quadrature points of the triangles `tris` around cone k:
-    two (T, 7, len(modes)) arrays."""
+    dbar at the 7 quadrature points of the triangles of cone patch k: two
+    (T, 7, len(modes)) arrays."""
     patch = mesh.cone_patches[k]
+    tris = patch.triangles
     zq = np.einsum("qc,tc->tq", _QB, mesh.tri_pos[tris])
     zeta = zq - patch.cone.position
     r = np.abs(zeta)
     phi = cone_angle(patch.cone, zeta,
                      mesh.tri_chart[tris][:, None] != patch.sheet_tori[0])
-    E, f_gr = _cone_mode_values(patch, modes, r, phi, cutoff)
+    E, f_gr = _cone_mode_values(patch, modes, r, phi)
     # f is holomorphic in x, so dbar(g(r) f) = f g'(r) dbar(r)
     dbar_r = zeta / (2.0 * np.where(r > 0, r, 1.0))
     return E, f_gr * dbar_r[..., None]
 
 
-def _cone_mode_values(patch, modes, r, phi, cutoff):
+def _cone_mode_values(patch, modes, r, phi):
     """The cutoff cone modes g(r) f_{k,m,s}, g = chi(r) (r/r0)^p, of `modes`
     = [(m, s, p)] at the flat polar points (r, phi) of a cone patch, and
     f_{k,m,s} g'(r): two (*shape, len(modes)) arrays."""
     cone = patch.cone
     r0 = patch.outer_radius
-    r1, r2 = cutoff[0] * r0, cutoff[1] * r0
+    r1, r2 = _CUTOFF[0] * r0, _CUTOFF[1] * r0
     chi, chi_r = smoothstep(r, r1, r2), smoothstep_deriv(r, r1, r2)
     E, f_gr = [], []
     for m, sgn, pw in modes:
@@ -667,7 +668,7 @@ def extract_singular_coefficients(op: DiscreteOperator, u, lam, k):
     u = u * (abs(top) / top)
     # fit where the enrichment cutoff is identically 1, so the pure-mode
     # radial model is exact; rings are ordered outermost first
-    r1 = op.cutoff[0] * patch.outer_radius
+    r1 = _CUTOFF[0] * patch.outer_radius
     rings = slice(-max(3, np.count_nonzero(patch.ring_radii <= r1 * 1.0001)), None)
     radii, phi = patch.ring_radii[rings], patch.ring_phi
 
@@ -679,7 +680,7 @@ def extract_singular_coefficients(op: DiscreteOperator, u, lam, k):
     ents = [e for e in op.enrichment if e["cone"] == k]
     if ents:
         E, _ = _cone_mode_values(patch, [e["mode"] for e in ents],
-                                 radii[:, None], phi, op.cutoff)
+                                 radii[:, None], phi)
         vals = vals + E @ u[[e["col"] for e in ents]]
     # anti-periodic unwrap: multiply by e^{-i phi/4}, FFT bins at n/2
     fft = np.fft.fft(vals * np.exp(-0.25j * phi), axis=1) / len(phi)

@@ -259,6 +259,8 @@ class ConePatch:
     torus sheet_tori[i >= n_ang] (ring_tori).  Columns 0 and n_ang are the two
     copies of the slit node at that distance; in the flat chart of its torus
     the vertex sits at P + ring_radii[m] exp(i (phi_i + theta_ray)).
+    triangles are the patch itself: the triangles whose every corner is the
+    cone vertex or a ring vertex, which tile the polygon of the outer ring.
     """
     cone: ConePoint
     center_vertex: int
@@ -266,6 +268,7 @@ class ConePatch:
     ring_radii: np.ndarray       # (n_rings,) outermost first
     ring_vertices: np.ndarray    # (n_rings, 2 n_ang) vertex ids
     n_ang: int
+    triangles: np.ndarray        # triangle ids, ascending
 
     @property
     def outer_radius(self):
@@ -863,8 +866,8 @@ def _assemble_glued(surf, torus_pts, slit_params, ring_radii, h, grading, n_ang,
                     tri_slit_sign=None, cone_patches=[], slit_chains=slit_chains,
                     h=h, grading=grading)
     mesh.tri_slit_sign = slit_sign(mesh, mesh.triangles, mesh.tri_chart[:, None])
-    mesh.cone_patches = _build_cone_patches(surf, ring_vid, slit_chains,
-                                            ring_radii, n_ang)
+    mesh.cone_patches = _build_cone_patches(surf, mesh, ring_vid, ring_radii,
+                                            n_ang)
     mesh.cycle_paths = []
     for j in range(surf.genus):
         paths = {w: find_torus_cycle(mesh, j, w) for w in ("a", "b")}
@@ -888,11 +891,11 @@ def slit_sign(mesh: SpinMesh, vertices, charts):
     return np.where(flip_chart[vertices] == charts, -1, 1).astype(np.int8)
 
 
-def _build_cone_patches(surf, ring_vid, slit_chains, ring_radii, n_ang):
+def _build_cone_patches(surf, mesh, ring_vid, ring_radii, n_ang):
     patches = []
     for cone in surf.cone_points:
         s = cone.slit_index
-        chain = slit_chains[s]
+        chain = mesh.slit_chains[s]
         sheet0, sheet1 = _sheet_tori(cone, surf)
         m = np.arange(len(ring_radii[s]))
         # the slit node at distance ring_radii[s][m] from this endpoint
@@ -901,10 +904,12 @@ def _build_cone_patches(surf, ring_vid, slit_chains, ring_radii, n_ang):
         ring_vertices = np.column_stack([
             np.asarray(chain["copy0"])[node], ring_vid[(sheet0, cone.index)],
             np.asarray(chain["copy1"])[node], ring_vid[(sheet1, cone.index)]])
+        corners = np.isin(mesh.triangles, np.append(ring_vertices, cone.index))
         patches.append(ConePatch(cone=cone, center_vertex=cone.index,
                                  sheet_tori=(sheet0, sheet1),
                                  ring_radii=np.array(ring_radii[s]),
-                                 ring_vertices=ring_vertices, n_ang=n_ang))
+                                 ring_vertices=ring_vertices, n_ang=n_ang,
+                                 triangles=np.flatnonzero(corners.all(axis=1))))
     return patches
 
 
@@ -1012,28 +1017,18 @@ def validate_mesh(mesh: SpinMesh):
             "n_vertices": nv, "n_edges": ne, "n_triangles": nf}
 
 
-def patch_triangle_ids(mesh: SpinMesh, k: int, radius: float):
-    """Ids of the triangles around cone k: charted on one of the cone's
-    incident tori, with every corner within radius of the cone point."""
-    cone = mesh.cone_patches[k].cone
-    near = np.max(np.abs(mesh.tri_pos - cone.position), axis=1) <= radius
-    return np.flatnonzero(near & np.isin(mesh.tri_chart, cone.incident_tori))
-
-
 def cone_patch_triangles(mesh: SpinMesh):
     """Per cone patch, the triangles inside it with their corner coordinates
     in the distinguished chart.
 
     Returns a list (one entry per patch) of pairs (ids, x_corners): the
-    triangles within 1.02 times the patch's outer radius, and their (n, 3)
-    corner positions in the x-chart (x^2/2 = z - P, sheet-aware, branch cut
-    along the slit ray).  Corners on the ray are disambiguated by the
-    triangle side; the cone vertex maps to 0.
+    patch's triangles, and their (n, 3) corner positions in the x-chart
+    (x^2/2 = z - P, sheet-aware, branch cut along the slit ray).  Corners on
+    the ray are disambiguated by the triangle side; the cone vertex maps to 0.
     """
     out = []
-    for k, patch in enumerate(mesh.cone_patches):
-        cone = patch.cone
-        ids = patch_triangle_ids(mesh, k, patch.outer_radius * 1.02)
+    for patch in mesh.cone_patches:
+        cone, ids = patch.cone, patch.triangles
         zeta = mesh.tri_pos[ids] - cone.position
         r = np.hypot(zeta.real, zeta.imag)
         sheet = (mesh.tri_chart[ids] != patch.sheet_tori[0])[:, None]

@@ -1,8 +1,7 @@
-"""Shared fixtures: the expensive g2 pipelines are session-scoped and timed so
-acceptance tests can both reuse them and report honest runtimes."""
+"""Shared fixtures: the expensive g2 pipelines are session-scoped, so the
+acceptance tests build each of them once."""
 
 import sys
-import time
 from pathlib import Path
 
 import pytest
@@ -10,20 +9,6 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from spinlap import surface as sf, hodge, homology_spin as hs, spectral as spec
-
-
-TIMINGS = {}
-
-
-def timed(key):
-    class _T:
-        def __enter__(self):
-            self.t0 = time.time()
-            return self
-
-        def __exit__(self, *exc):
-            TIMINGS[key] = TIMINGS.get(key, 0.0) + time.time() - self.t0
-    return _T()
 
 
 @pytest.fixture(scope="session")
@@ -38,20 +23,17 @@ def g2_surface_s(g2_moduli):
 
 @pytest.fixture(scope="session")
 def g2_mesh_fine(g2_surface_s):
-    with timed("g2_mesh_fine"):
-        return sf.generate_mesh(g2_surface_s, h=0.02)
+    return sf.generate_mesh(g2_surface_s, h=0.02)
 
 
 @pytest.fixture(scope="session")
 def g2_mesh_coarse(g2_surface_s):
-    with timed("g2_mesh_coarse"):
-        return sf.generate_mesh(g2_surface_s, h=0.028)
+    return sf.generate_mesh(g2_surface_s, h=0.028)
 
 
 @pytest.fixture(scope="session")
 def g2_periods_fine(g2_mesh_fine):
-    with timed("g2_periods_fine"):
-        return hodge.period_matrix(g2_mesh_fine)
+    return hodge.period_matrix(g2_mesh_fine)
 
 
 @pytest.fixture(scope="session")
@@ -71,16 +53,14 @@ def g2_even_spins(g2_periods_fine):
 @pytest.fixture(scope="session")
 def g2_friedrichs_fine(g2_mesh_fine, g2_even_spins):
     spin, _ = g2_even_spins[0]
-    with timed("g2_friedrichs_fine"):
-        lift = hs.build_sign_lift(g2_mesh_fine, spin)
-        op = spec.assemble_operator(g2_mesh_fine, lift, "friedrichs")
-        return spec.eigenvalues(op, 280)
+    lift = hs.build_sign_lift(g2_mesh_fine, spin)
+    op = spec.assemble_operator(g2_mesh_fine, lift, "friedrichs")
+    return spec.eigenvalues(op, 280)
 
 
 @pytest.fixture(scope="session")
 def g2_friedrichs_coarse(g2_mesh_coarse, g2_even_spins):
     spin, _ = g2_even_spins[0]
-    with timed("g2_friedrichs_coarse"):
-        lift = hs.build_sign_lift(g2_mesh_coarse, spin)
-        op = spec.assemble_operator(g2_mesh_coarse, lift, "friedrichs")
-        return spec.eigenvalues(op, 280)
+    lift = hs.build_sign_lift(g2_mesh_coarse, spin)
+    op = spec.assemble_operator(g2_mesh_coarse, lift, "friedrichs")
+    return spec.eigenvalues(op, 280)

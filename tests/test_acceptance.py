@@ -2,8 +2,7 @@
 and prints one pass/fail line per criterion.
 
 All criteria are primary.  Heavy pipelines reuse the session fixtures from
-conftest (their build times are recorded and charged against the runtime
-limits where a criterion states one).
+conftest, so each is built once per session.
 """
 
 import math
@@ -18,7 +17,6 @@ from spinlap import spectral as spec
 from spinlap import determinants as det
 
 import oracles
-from conftest import TIMINGS, timed
 
 
 def _report(num, name, ok, detail):

@@ -85,6 +85,20 @@ def test_spectrum_command(g1_moduli_file, tmp_path):
     assert d["inertia"]["count"] == 40 and d["inertia"]["d"] > 0
 
 
+@pytest.mark.parametrize("token", ["even:7", "abc", "-1"])
+def test_spin_outside_its_range_is_a_usage_error(token, g1_moduli_file,
+                                                 tmp_path, capsys):
+    # genus 1 has 4 spin structures, 3 of them even
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["spectrum", "--moduli", g1_moduli_file, "--spin", token,
+                  "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert repr(token) in err
+    assert "k in 0..3" in err and "even:k with k in 0..2" in err
+    assert not (tmp_path / "spectrum.json").exists()
+
+
 def test_report_command(g1_moduli_file, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"command = periods\nmoduli = {g1_moduli_file}\nh = 0.1\n")

@@ -68,7 +68,7 @@ def test_t0_independent_of_node_chunking(g2_t0, monkeypatch, chunk):
 
 
 def test_t0_memory_peak():
-    """The nodes stream through theta in chunks: at h = 0.04 (27 173 nodes)
+    """The nodes stream through theta in chunks: at h = 0.04 (26 760 nodes)
     the traced allocation peak stays at a fraction of the 28 MiB that
     evaluating theta on all nodes at once holds."""
     import tracemalloc
@@ -84,6 +84,26 @@ def test_t0_memory_peak():
     finally:
         tracemalloc.stop()
     assert peak <= 12 * 2 ** 20
+
+
+def test_t0_bulk_rule_leaves_out_the_cone_patches():
+    # each patch is integrated by its polar rule only: no bulk triangle lies
+    # on a cone's tori with every corner within the patch's outer radius r0,
+    # and the bulk is the surface less the patch polygons
+    m = sf.ModuliPoint(genus=2, A=[1.0, 1.0], B=[1j, 2j], C=[0.2, 0.5])
+    s = sf.build_surface(m)
+    mesh = sf.generate_mesh(s, h=0.04)
+    bulk = det._bulk_triangles(mesh)
+    polygons = 0.0
+    for patch in mesh.cone_patches:
+        r0, n = patch.outer_radius, patch.n_ang
+        far = np.max(np.abs(mesh.tri_pos[bulk] - patch.cone.position), axis=1)
+        inside = (np.isin(mesh.tri_chart[bulk], patch.cone.incident_tori)
+                  & (far <= r0 * (1.0 + 1e-9)))
+        assert not np.any(inside), f"{inside.sum()} patch triangles in the bulk"
+        polygons += n * r0 ** 2 * math.sin(2.0 * math.pi / n)
+    bulk_area = mesh.triangle_areas()[bulk].sum()
+    assert bulk_area == pytest.approx(sf.flat_area(s) - polygons, rel=1e-12)
 
 
 def test_t0_odd_char_rejected(g2_t0):

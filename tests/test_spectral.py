@@ -108,10 +108,8 @@ def test_cone_mode_borders_match_the_triangle_loop(extension, g2_h05):
     for k, patch in enumerate(mesh.cone_patches):
         ents = [ent for ent in op.enrichment if ent["cone"] == k]
         cols = [ent["col"] for ent in ents]
-        tris = sf.patch_triangle_ids(mesh, k,
-                                     op.cutoff[1] * patch.outer_radius * 1.05)
-        E, dE = spec._cone_mode_fields(mesh, k, [ent["mode"] for ent in ents],
-                                       tris, op.cutoff)
+        tris = patch.triangles
+        E, dE = spec._cone_mode_fields(mesh, k, [ent["mode"] for ent in ents])
         mass, stiff, mass_gram, stiff_gram = oracles.border_contraction(
             mesh.tri_pos[tris], lift.eta[tris], dofs[tris], spec._QW, spec._QB,
             E, dE)
@@ -124,6 +122,30 @@ def test_cone_mode_borders_match_the_triangle_loop(extension, g2_h05):
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
             got = X[cols][:, cols].toarray()
             assert np.max(np.abs(got - gram)) <= 1e-13 * np.max(np.abs(gram))
+
+
+@pytest.mark.parametrize("extension", ["szego", "holomorphic_local"])
+def test_cone_mode_cutoff_vanishes_outside_the_border(extension):
+    # the border of cone k integrates the triangles whose corners are all
+    # the cone vertex or dofs coupled to the cone's enrichment columns; at
+    # every quadrature point of any other triangle on the cone's tori the
+    # cutoff chi must be exactly 0, i.e. r >= r2 = _CUTOFF[1] r0
+    m = sf.ModuliPoint(genus=2, A=[1.0, 1.0], B=[1j, 2j], C=[0.2, 0.5])
+    mesh = sf.generate_mesh(sf.build_surface(m), h=0.04)
+    lift = hs.build_sign_lift(mesh, hs.enumerate_spin_structures(2)[0])
+    op = spec.assemble_operator(mesh, lift, extension)
+    zq = np.einsum("qc,tc->tq", spec._QB, mesh.tri_pos)
+    for k, patch in enumerate(mesh.cone_patches):
+        cols = [ent["col"] for ent in op.enrichment if ent["cone"] == k]
+        border = abs(op.mass[:op.n_p1][:, cols]).toarray()
+        coupled_dofs = np.flatnonzero(border.sum(axis=1))
+        coupled = np.isin(op.dof_of_vertex, coupled_dofs)
+        coupled[patch.center_vertex] = True
+        outside = (~coupled[mesh.triangles].all(axis=1)
+                   & np.isin(mesh.tri_chart, patch.cone.incident_tori))
+        r = np.abs(zq[outside] - patch.cone.position)
+        cut = np.any(r < spec._CUTOFF[1] * patch.outer_radius, axis=1)
+        assert not np.any(cut), f"chi > 0 on {cut.sum()} triangles off cone {k}"
 
 
 def test_holomorphic_border_is_the_gauged_p1_mass(g2_h05, g2_h05_periods):

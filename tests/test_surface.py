@@ -272,6 +272,26 @@ def test_ring_vertices_lie_at_their_polar_angle(moduli, h):
             assert np.max(np.abs(off)) < 1e-12
 
 
+@pytest.mark.parametrize("moduli, h", [
+    (_G2_MODULI, 0.04), (_G2_MODULI, 0.02), (_G3_MODULI, 0.045)],
+    ids=["g2-h0.04", "g2-h0.02", "g3-h0.045"])
+def test_patch_triangles_tile_the_outer_ring_polygon(moduli, h):
+    # the package picks a patch's triangles by their corners (cone or ring
+    # vertices); geometrically they are the triangles on the cone's two tori
+    # with every corner within the outer radius r0, and they tile the
+    # inscribed polygon of 2 n_ang sides on the 4 pi cone
+    mesh = sf.generate_mesh(sf.build_surface(moduli), h=h)
+    area = mesh.triangle_areas()
+    for patch in mesh.cone_patches:
+        r0, n = patch.outer_radius, patch.n_ang
+        far = np.max(np.abs(mesh.tri_pos - patch.cone.position), axis=1)
+        near = (np.isin(mesh.tri_chart, patch.cone.incident_tori)
+                & (far <= r0 * (1.0 + 1e-9)))
+        assert np.array_equal(patch.triangles, np.flatnonzero(near))
+        polygon = n * r0 ** 2 * math.sin(2.0 * math.pi / n)
+        assert abs(area[patch.triangles].sum() - polygon) <= 1e-12 * polygon
+
+
 # -- the periodic triangulation of each torus
 
 def _tiled_points(mesh, j):
