@@ -65,6 +65,18 @@ class UsageError(SpinlapError, ValueError):
     """A command-line value that the parser could not check by itself."""
 
 
+def _positive_int(text):
+    """argparse type of a count: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _select_spins(spec_str, g):
     """Spin structures from comma-separated tokens k (all of them, in
     enumeration order) or even:k (the even ones); UsageError names the valid
@@ -202,6 +214,7 @@ def cmd_spectrum(args):
     payload["h"] = args.h
     payload["eigenvalues"] = [float(v) for v in res.eigenvalues]
     payload["krylov_dim"] = res.krylov_dim
+    payload["reorthogonalized"] = res.reorthogonalized
     payload["residual_bound"] = res.residual_bound
     payload["inertia"] = res.inertia
     heat = []
@@ -318,7 +331,7 @@ def build_parser():
                    choices=["friedrichs", "szego", "holomorphic",
                             "holomorphic_local"])
     p.add_argument("--h", type=float, default=0.05)
-    p.add_argument("--num-eigs", type=int, default=60)
+    p.add_argument("--num-eigs", type=_positive_int, default=60)
     p.add_argument("--n-t", type=int, default=24)
     _add_common(p)
     p.set_defaults(func=cmd_spectrum)
@@ -332,7 +345,7 @@ def build_parser():
     # with Richardson on, the partner mesh has size 1.4 h, which must still
     # resolve the shortest slit (1.4 * 0.05 does not on the README's g2.json)
     p.add_argument("--h", type=float, default=0.04)
-    p.add_argument("--num-eigs", type=int, default=160)
+    p.add_argument("--num-eigs", type=_positive_int, default=160)
     p.add_argument("--no-richardson", action="store_true")
     _add_common(p)
     p.set_defaults(func=cmd_determinants)

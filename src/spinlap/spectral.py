@@ -22,7 +22,12 @@ Only the enrichment borders of the szego and holomorphic variants are
 complex; their pencils are complex Hermitian.  Every pencil, real or complex,
 is solved by one shift-invert Lanczos iteration on (A - sigma M)^-1 M, which
 is self-adjoint in the M inner product, so its projection is a real
-tridiagonal matrix (Ericsson & Ruhe, Math. Comp. 35, 1980).  Every factor of
+tridiagonal matrix (Ericsson & Ruhe, Math. Comp. 35, 1980).  Its basis is
+kept semi-orthogonal by partial reorthogonalization (Simon, Math. Comp. 42,
+1984): a step runs the full Gram-Schmidt only when Simon's estimate of the
+lost orthogonality passes sqrt(eps), which is enough for Ritz values exact
+to rounding; the returned eigenvectors are M-orthonormalized and rotated
+by a Rayleigh-Ritz pass on their span.  Every factor of
 A - tau M is an LDL^H one (a symmetric ordering, diagonal pivots), so its
 negative pivots count the eigenvalues below tau (Sylvester's law of inertia).
 That count certifies the solve: it ends when the pencil has exactly as many
@@ -41,12 +46,13 @@ from __future__ import annotations
 
 import math
 import mmap
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, solve_triangular
 from scipy.sparse import csgraph
 from scipy.special import exp1
 
@@ -77,6 +83,10 @@ class SolverError(SpinlapError, RuntimeError):
 
 class WindowError(SpinlapError, ValueError):
     """Requested t outside the validity window of the truncated trace."""
+
+
+class EigenCountError(SpinlapError, ValueError):
+    """The number of eigenpairs asked for is not a positive integer."""
 
 
 # 7-point degree-5 triangle rule (barycentric coordinates, weights sum to 1)
@@ -395,6 +405,8 @@ class SpectralResult:
     requested: int = None              # N passed to eigenvalues(), before
                                        # its clamp to n_dofs
     krylov_dim: int = None             # Lanczos steps the eigensolve took
+    reorthogonalized: int = None       # of them, the steps that ran a full
+                                       # Gram-Schmidt against the basis
     residual_bound: float = None       # largest relative Ritz bound of the
                                        # returned pairs (0 when exact)
     inertia: dict = None               # {sigma, d, count}: the pencil has
@@ -416,11 +428,16 @@ def eigenvalues(op: DiscreteOperator, N: int, vectors=False, sigma=None):
     More precisely the N nearest the shift sigma (by default below the
     spectrum), by shift-invert Lanczos.  A pencil has n_dofs eigenvalues; a
     larger N is clamped, and the result records the N asked for as
-    `requested`.  With vectors=True the eigenvectors are mass-orthonormal.
+    `requested`.  With vectors=True the eigenvectors are mass-orthonormal and
+    the eigenvalues their Rayleigh quotients.
     The result's `inertia` certifies that no eigenvalue within d of sigma
-    was missed.  Raises SolverError when sigma is an eigenvalue (A - sigma M
-    singular) or the certificate fails."""
+    was missed.  Raises EigenCountError when N is not a positive integer,
+    SolverError when sigma is an eigenvalue (A - sigma M singular) or the
+    certificate fails."""
     from .surface import flat_area
+    if isinstance(N, bool) or not isinstance(N, numbers.Integral) or N < 1:
+        raise EigenCountError(f"N = {N!r}: the number of eigenpairs must be "
+                              f"a positive integer")
     ndof = op.n_dofs
     requested, N = N, min(N, ndof)
     if sigma is None:
@@ -428,21 +445,23 @@ def eigenvalues(op: DiscreteOperator, N: int, vectors=False, sigma=None):
         if op.extension == "szego":
             sigma = -0.05
     v0 = np.ones(ndof) + 0.5 * np.cos(np.arange(ndof))   # deterministic start
-    lam, vec, m, bound, inertia = _shift_invert_lanczos(
+    lam, vec, m, full, bound, inertia = _shift_invert_lanczos(
         op.stiffness, op.mass, N, sigma, v0, vectors)
-    idx = np.argsort(lam)
-    lam = lam[idx]
-    vec = vec[idx].T if vectors else None
+    vec = vec.T if vectors else None
     lam = np.where(np.abs(lam) < 1e-13, 0.0, lam)
     return SpectralResult(extension=op.extension, h=op.mesh.h,
                           genus=op.mesh.genus, area=flat_area(op.mesh.surface),
                           eigenvalues=lam, n_dofs=ndof, vectors=vec, op=op,
                           requested=requested, krylov_dim=m,
+                          reorthogonalized=full,
                           residual_bound=bound, inertia=inertia)
 
 
 _RITZ_TOL = 1e-12                # relative Ritz bound of converged pairs
 _DGKS = 1.0 / math.sqrt(2.0)     # norm drop that calls a second Gram-Schmidt
+_EPS = np.finfo(float).eps
+_SEMI_ORTHO = math.sqrt(_EPS)    # estimated |<q_j, q_i>_M| that calls a full
+                                 # Gram-Schmidt (semi-orthogonality)
 _WINDOW = 1e-8                   # relative widening of the counted window
 
 
@@ -482,8 +501,17 @@ def _shift_invert_lanczos(A, M, N, sigma, v0, vectors):
 
     Lanczos on K = (A - sigma M)^-1 M in the M inner product, where K is
     self-adjoint: alpha and beta are real and the projection is a real
-    tridiagonal T.  Each new vector is orthogonalized against the whole
-    stored basis (classical Gram-Schmidt, repeated once when it cancels).
+    tridiagonal T.  Partial reorthogonalization (Simon, Math. Comp. 42,
+    1984): Simon's recurrence, O(m) a step, estimates omega_ji = <q_j, q_i>_M
+    for the run's vectors from alpha, beta and a rounding term.  Only when
+    the largest estimate passes _SEMI_ORTHO = sqrt(eps) is the new vector
+    orthogonalized against the whole stored basis (classical Gram-Schmidt,
+    repeated once when it cancels), on that step and the next, and its
+    estimates reset to eps.  That keeps the basis semi-orthogonal, which
+    makes T, to rounding, the projection of K on the span of the basis: its
+    Ritz values are exact to rounding and no ghost copy of a converged one
+    appears.  The locked Ritz vectors (see below) are projected out at every
+    step.
     A Ritz pair (theta, s) of T has converged when
     beta_m |s_m| / |theta| <= _RITZ_TOL; lambda = sigma + 1/theta.  A run
     also ends when its Krylov space is invariant (breakdown): its Ritz values
@@ -499,22 +527,43 @@ def _shift_invert_lanczos(A, M, N, sigma, v0, vectors):
     shift's own, zero, when sigma lies below the spectrum.  The solve ends
     when the count equals the pairs found in that window.  A larger count
     locks the run's converged pairs in the window (their Ritz vectors join
-    the basis) and starts the next run from a fixed random vector on the
-    operator deflated by them; a smaller one raises SolverError.
+    the basis, M-orthonormalized) and starts the next run from a fixed
+    random vector on the operator deflated by them; a smaller one raises
+    SolverError.
 
-    Returns (lambda, M-orthonormal eigenvectors as rows if `vectors` else
-    None, Lanczos steps, largest relative Ritz bound, inertia count as a
-    dict of sigma, d and count)."""
+    Ritz vectors of a semi-orthogonal basis are M-orthonormal only to about
+    1e-10 (at g=2, h = 0.05; 5e-10 on the holomorphic pencil, whose kernel
+    vectors then leave residuals of 1e-8), so with `vectors` the returned
+    ones are M-orthonormalized by two Cholesky-QR passes and the pairs
+    replaced by the Rayleigh-Ritz pairs of their span: values and vectors
+    are then consistent to rounding, and the values agree with the Lanczos
+    ones to about 1e-14 relative.
+
+    Returns (lambda in ascending order, M-orthonormal eigenvectors as rows
+    if `vectors` else None, Lanczos steps, steps that reorthogonalized,
+    largest relative Ritz bound, inertia count as a dict of sigma, d and
+    count)."""
     n = A.shape[0]
     dtype = np.result_type(A.dtype, M.dtype)
     lu, below = _factor(A, M, sigma)
     solve = lu.solve
-
-    def orthogonalize(B, w, Mw):       # w minus its M-projection on rows of B
-        return w - B.T @ np.conj(B @ np.conj(Mw))
+    noise = _EPS * math.sqrt(n)
 
     def m_norm(x, Mx):
         return math.sqrt(max(np.vdot(x, Mx).real, 0.0))
+
+    def orthogonalize(B, w, Mw, nrm):
+        """w minus its M-projection on the rows of B (classical Gram-Schmidt,
+        repeated once when it cancels); (w, M w, M-norm of w), the norm 0
+        when w lies in the span of the rows (breakdown)."""
+        for _ in range(2):
+            before = nrm
+            w = w - B.T @ np.conj(B @ np.conj(Mw))
+            Mw = M @ w
+            nrm = m_norm(w, Mw)
+            if nrm >= _DGKS * before:
+                return w, Mw, nrm
+        return w, Mw, 0.0
 
     # rows [0, k) of `basis` hold the locked Ritz vectors, rows [k, k + m)
     # the current run's Lanczos vectors.  The first run converges within
@@ -523,16 +572,17 @@ def _shift_invert_lanczos(A, M, N, sigma, v0, vectors):
     chunk = max(N // 2, 32)
     basis = _unpaged_rows(min(n, 3 * N + chunk), n, dtype)
     theta = bound = np.empty(0)        # of the locked pairs
-    k, steps, run = 0, 0, 0
+    k, steps, full_steps, run = 0, 0, 0, 0
     w = np.asarray(v0, dtype=dtype)
+    Mw = M @ w
     while True:
-        for _ in range(2):
-            w = orthogonalize(basis[:k], w, M @ w)
-        Mw = M @ w
-        nrm = m_norm(w, Mw)
+        w, Mw, nrm = orthogonalize(basis[:k], w, Mw, m_norm(w, Mw))
         size = n - k                   # dimension of the deflated space
         alpha, beta = np.zeros(size), np.zeros(size)
-        m = 0
+        # omega[j % 2, :j + 1] estimates <q_j, q_i>_M for i <= j
+        omega = np.zeros((2, size + 1))
+        omega[0, 0] = 1.0
+        m, again, p = 0, False, None
         check = min(size, 2 * N if run == 0 else max(1, N // 8))
         while True:
             if k + m == len(basis):
@@ -540,27 +590,49 @@ def _shift_invert_lanczos(A, M, N, sigma, v0, vectors):
                 grown[:k + m] = basis[:k + m]
                 basis = grown
             basis[k + m] = q = w / nrm
-            p = Mw / nrm               # M q, kept for this step only
+            p_last, p = p, Mw / nrm    # M q of the last step and this one
             w = solve(p)
             alpha[m] = np.vdot(p, w).real
             w -= alpha[m] * q
+            skew = 0.0
             if m:
                 w -= beta[m - 1] * basis[k + m - 1]
-            m += 1
+                # <K q_j, q_j-1>_M - beta_j-1: the rounding of this step
+                # and the last one, as it reaches the previous vector
+                skew = abs(np.vdot(p_last, w))
+            j, m = m, m + 1            # q_j is done, w / nrm becomes q_m
             Mw = M @ w
-            before = m_norm(w, Mw)
-            for _ in range(2):
-                w = orthogonalize(basis[:k + m], w, Mw)
-                Mw = M @ w
-                nrm = m_norm(w, Mw)
-                if nrm >= _DGKS * before:
-                    break
-                before = nrm
+            nrm = m_norm(w, Mw)
+            # Simon's recurrence: beta_j omega_mi = beta_i omega_j,i+1
+            # + (alpha_i - alpha_j) omega_ji + beta_i-1 omega_j,i-1
+            # - beta_j-1 omega_j-1,i, plus the rounding of steps i and j,
+            # taken as eps sqrt(n) (beta_i + beta_j) or, when larger, as the
+            # skew measured at i = j - 1.  The skew sees the rounding of
+            # solves with an almost singular A - sigma M: without it a shift
+            # within 1e-6 of an eigenvalue returned eigenvalues off by 1e-2.
+            # Without the sqrt(n), vectors kept at a shift inside the
+            # spectrum lost 1.7e-7 of orthogonality, 10 times sqrt(eps)
+            cur, new = omega[j % 2], omega[m % 2]
+            b = beta[:j]
+            est = b * cur[1:m] + (alpha[:j] - alpha[j]) * cur[:j]
+            if j:
+                est[1:] += b[:-1] * cur[:j - 1]
+                est -= beta[j - 1] * new[:j]
+            est += np.copysign(np.maximum(noise * (b + nrm), skew), est)
+            full = again or np.any(np.abs(est) > _SEMI_ORTHO * nrm)
+            again = full and not again     # the step after one is full too
+            if full:
+                new[:m] = _EPS
+                full_steps += 1
             else:
-                nrm = 0.0              # w lies in the span: breakdown
+                new[:j], new[j] = est / nrm, _EPS
+            new[m] = 1.0
+            if full or k:              # the locked vectors, at every step
+                w, Mw, nrm = orthogonalize(basis[:k + m if full else k], w,
+                                           Mw, nrm)
             if m == size:
                 nrm = 0.0              # the basis spans the whole space
-            beta[m - 1] = nrm
+            beta[j] = nrm
             if nrm == 0.0 or m >= check:
                 th, s = eigh_tridiagonal(alpha[:m], beta[:m - 1])
                 rel = np.abs(nrm * s[-1]) / np.abs(th)
@@ -601,21 +673,36 @@ def _shift_invert_lanczos(A, M, N, sigma, v0, vectors):
         for c in range(0, n, 256):
             basis[k:k + len(coef), c:c + 256] = coef @ basis[k:k + m, c:c + 256]
         k += len(coef)
+        basis[:k] = _m_orthonormal(basis[:k], M)
         theta = np.concatenate([theta, th[keep]])
         bound = np.concatenate([bound, rel[keep]])
         run += 1
         w = np.random.default_rng(run).standard_normal(n)
+        Mw = M @ w
     top = np.argsort(-np.abs(found))[:N]
-    X = None
+    top = top[np.argsort(1.0 / found[top])]    # ascending lambda
+    lam, X = sigma + 1.0 / found[top], None
     if vectors:                        # Ritz vectors of the returned pairs only
         X = np.empty((len(top), n), dtype)
         old = top < k
         X[old] = basis[top[old]]
         cols = np.flatnonzero(conv)[top[~old] - k]
         X[~old] = s[:, cols].T.astype(dtype) @ basis[k:k + m]
-    return (sigma + 1.0 / found[top], X, steps,
+        X = _m_orthonormal(X, M)
+        lam, U = np.linalg.eigh(np.conj(X) @ (A @ X.T))
+        X = U.T @ X
+    return (lam, X, steps, full_steps,
             float(np.concatenate([bound, rel[conv]])[top].max()),
             {"sigma": float(sigma), "d": float(d), "count": count})
+
+
+def _m_orthonormal(X, M):
+    """The rows of X made M-orthonormal by two Cholesky-QR passes (the
+    second one removes what rounding left of the first one's error)."""
+    for _ in range(2):
+        L = np.linalg.cholesky(np.conj(X) @ (M @ X.T))
+        X = solve_triangular(np.conj(L), X, lower=True)
+    return X
 
 
 def _unpaged_rows(rows, n, dtype):

@@ -80,6 +80,8 @@ def test_spectrum_command(g1_moduli_file, tmp_path):
     assert d["zeta"]["overlap_gap"] >= 0.0
     assert d["heat_trace"]
     assert d["krylov_dim"] >= 40
+    # partial reorthogonalization: some steps, never all of them
+    assert 0 < d["reorthogonalized"] < d["krylov_dim"]
     assert d["residual_bound"] <= 1e-12
     # the Sylvester inertia certificate: exactly the 40 found lie within d
     assert d["inertia"]["count"] == 40 and d["inertia"]["d"] > 0
@@ -97,6 +99,19 @@ def test_spin_outside_its_range_is_a_usage_error(token, g1_moduli_file,
     assert repr(token) in err
     assert "k in 0..3" in err and "even:k with k in 0..2" in err
     assert not (tmp_path / "spectrum.json").exists()
+
+
+@pytest.mark.parametrize("command", ["spectrum", "determinants"])
+@pytest.mark.parametrize("value", ["0", "-2", "1.5"])
+def test_num_eigs_below_one_is_a_usage_error(command, value, g1_moduli_file,
+                                             tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--moduli", g1_moduli_file, "--num-eigs", value,
+                  "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--num-eigs: expected a positive integer" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_report_command(g1_moduli_file, tmp_path):

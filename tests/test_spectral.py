@@ -203,6 +203,35 @@ def test_eigenvalues_record_a_clamped_request():
     assert res.requested == len(res.eigenvalues) == 4
 
 
+@pytest.mark.parametrize("N", [-3, 0, 1.5, "4", True])
+def test_a_count_that_is_not_a_positive_integer_is_refused(N, g2_h05):
+    mesh, _, lift = g2_h05
+    op = spec.assemble_operator(mesh, lift, "friedrichs")
+    with pytest.raises(spec.EigenCountError, match="positive integer"):
+        spec.eigenvalues(op, N)
+    assert issubclass(spec.EigenCountError, ValueError)
+
+
+@pytest.mark.parametrize("extension", ["friedrichs", "szego"])
+def test_partial_reorthogonalization_skips_most_steps(extension, g2_h05):
+    mesh, _, lift = g2_h05
+    op = spec.assemble_operator(mesh, lift, extension)
+    res = spec.eigenvalues(op, 40)
+    assert 0 < res.reorthogonalized <= 0.6 * res.krylov_dim
+
+
+@pytest.mark.parametrize("extension", ["friedrichs", "szego"])
+def test_without_reorthogonalization_the_count_catches_ghost_copies(
+        extension, g2_h05, monkeypatch):
+    # a basis left to lose orthogonality converges to copies of the same
+    # Ritz pair, which the inertia count refuses
+    mesh, _, lift = g2_h05
+    op = spec.assemble_operator(mesh, lift, extension)
+    monkeypatch.setattr(spec, "_SEMI_ORTHO", math.inf)
+    with pytest.raises(spec.SolverError, match="where the pencil has"):
+        spec.eigenvalues(op, 40)
+
+
 @pytest.mark.parametrize("extension", spec.EXTENSIONS)
 def test_eigenvalues_match_the_dense_pencil(extension, g2_h05, g2_h05_periods):
     mesh, _, lift = g2_h05
@@ -292,6 +321,23 @@ def test_a_shift_inside_the_spectrum_counts_both_sides(g2_h05):
     near = np.sort(ref[np.argsort(np.abs(ref - sigma))[:10]])
     assert np.max(np.abs(res.eigenvalues - near) / near) <= 1e-11
     assert res.inertia["count"] == 10 and res.inertia["sigma"] == sigma
+
+
+@pytest.mark.parametrize("index, offset, N", [(30, 1e-7, 10), (60, -1e-6, 20)])
+def test_a_shift_next_to_an_eigenvalue_keeps_the_basis_semi_orthogonal(
+        index, offset, N, g2_h05):
+    # A - sigma M is almost singular, so each solve carries a rounding error
+    # far above eps ||K||; an estimate of the lost orthogonality that does
+    # not see it lets ghost copies through (a SolverError, or eigenvalues
+    # off by 1e-2).  Full reorthogonalization reads 8e-13 and 2.4e-12 here
+    mesh, _, lift = g2_h05
+    op = spec.assemble_operator(mesh, lift, "szego")
+    ref = oracles.dense_pencil_eigenvalues(op.stiffness, op.mass, 80)
+    sigma = ref[index] * (1.0 + offset)
+    res = spec.eigenvalues(op, N, sigma=sigma)
+    near = np.sort(ref[np.argsort(np.abs(ref - sigma))[:N]])
+    assert np.max(np.abs(res.eigenvalues - near) / near) <= 1e-10
+    assert res.inertia["count"] == N
 
 
 def _counting(monkeypatch, change):
