@@ -99,14 +99,19 @@ def harmonic_basis(mesh, corners):
     L, DIVT = cotan_laplacian(mesh, corners)
     gamma = crossing_cochains(mesh)
 
-    # pin one vertex to fix the constant mode
-    Lp = L.tolil()
-    Lp[0, :] = 0.0
-    Lp[0, 0] = 1.0
-    solver = spla.splu(Lp.tocsc())
+    # fix the constant mode by pinning alpha to 0 at vertex 0 (its row and
+    # column drop out): the rest of L is symmetric positive definite, so it
+    # is factored as LDL^T with a symmetric ordering and diagonal pivots,
+    # as spectral._factor does
+    try:
+        solver = spla.splu(L[1:, 1:].tocsc(), permc_spec="MMD_AT_PLUS_A",
+                           diag_pivot_thresh=0.0,
+                           options={"SymmetricMode": True})
+    except RuntimeError as exc:        # "Factor is exactly singular"
+        raise MeshQualityError("cotangent Laplacian is singular") from exc
     div = DIVT @ gamma.T
-    div[0] = 0.0
-    alpha = np.array([solver.solve(d) for d in div.T])
+    alpha = np.zeros((len(gamma), mesh.n_vertices))
+    alpha[:, 1:] = solver.solve(np.ascontiguousarray(div[1:])).T
     u, v = mesh.edge_table.edges.T
     return gamma - (alpha[:, v] - alpha[:, u]), DIVT
 
@@ -142,17 +147,33 @@ def _bfs_tree(edges, n_vertices, root):
     return breadth_first_order(adjacency, root, return_predecessors=True)
 
 
+def _tree_levels(tree):
+    """The spanning tree's levels below the root, as slices of its BFS
+    order: breadth-first order lists the tree level by level, and within
+    each level the parents come in the order of the level above."""
+    order, parent = tree
+    rank = np.empty(len(parent), dtype=int)
+    rank[order] = np.arange(len(order))
+    parent_rank = rank[parent[order[1:]]]            # non-decreasing
+    lo = 1
+    while lo < len(order):
+        hi = 1 + int(np.searchsorted(parent_rank, lo))
+        yield slice(lo, hi)
+        lo = hi
+
+
 def _tree_integral(table, tree, cochains, start):
     """Integrals (m, nv) of closed cochains (m, ne) along a spanning tree:
     start at its root, then each vertex its parent's value plus the cochain
-    on the tree edge."""
+    on the tree edge, one tree level at a time."""
     order, parent = tree
     idx, sign = table.lookup(parent[order[1:]], order[1:])
     steps = (cochains[:, idx] * sign).T
     out = np.zeros((table.n_vertices, cochains.shape[0]), dtype=complex)
     out[order[0]] = start
-    for v, step in zip(order[1:], steps):
-        out[v] = out[parent[v]] + step
+    for level in _tree_levels(tree):
+        v = order[level]
+        out[v] = out[parent[v]] + steps[level.start - 1:level.stop - 1]
     return out.T
 
 
@@ -276,11 +297,12 @@ class PeriodData:
         signs = np.zeros(self.mesh.n_vertices, dtype=np.int8)
         order, parent = self.tree
         signs[order[0]] = 1
-        for v in order[1:]:
+        for level in _tree_levels(self.tree):
+            v = order[level]
             u = parent[v]
-            same = abs(root[v] - signs[u] * root[u])
-            flip = abs(root[v] + signs[u] * root[u])
-            signs[v] = signs[u] if same <= flip else -signs[u]
+            same = np.abs(root[v] - signs[u] * root[u])
+            flip = np.abs(root[v] + signs[u] * root[u])
+            signs[v] = np.where(same <= flip, signs[u], -signs[u])
         self._cache[key] = signs
         return signs
 

@@ -27,6 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import hodge
+from . import surface as sf
 from . import theta as th
 from .errors import SpinlapError
 
@@ -174,16 +176,24 @@ def cycle_monodromy(lift: SignLift, torus: int, which: str):
 # ---------------------------------------------------------------------------
 # characteristic calibration
 
+def _routed_cycles(periods, delta, torus):
+    """The a- and b-cycle of torus j routed away from small |h_delta^2|, so
+    that the branch winding is reliably resolved: the least-cost cycles
+    when a vertex costs 1/|h_delta^2|^2.  One search per torus and delta,
+    kept in the periods' cache."""
+    key = ("cycles", delta, torus)
+    if key not in periods._cache:
+        cost = 1.0 / (np.abs(periods.h_delta_sq_vertex(delta)) + 1e-300) ** 2
+        periods._cache[key] = sf.find_torus_cycles(periods.mesh, torus,
+                                                   vertex_cost=cost)
+    return periods._cache[key]
+
+
 def _safe_cycle(periods, delta, torus, which):
-    """Cycle path routed away from small |h_delta^2| so the branch winding is
-    reliably resolved.  Thresholds are percentiles of |h^2| over the vertices
-    of the torus being cycled (the field can be globally much smaller on one
-    torus than another)."""
-    from . import surface as sf
-    from . import hodge
-    h2 = np.abs(periods.h_delta_sq_vertex(delta))
-    cost = 1.0 / (h2 + 1e-300) ** 2
-    path = sf.find_torus_cycle(periods.mesh, torus, which, vertex_cost=cost)
+    """The routed cycle (_routed_cycles) and the h_delta monodromy along it;
+    raises CalibrationError when there is none or the winding is not
+    resolved."""
+    path = _routed_cycles(periods, delta, torus)[which]
     if path is not None:
         try:
             eta = periods.h_monodromy(delta, path, max_step=1.2)

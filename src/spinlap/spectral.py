@@ -512,6 +512,16 @@ def _shift_invert_lanczos(A, M, N, sigma, v0, vectors):
     Ritz values are exact to rounding and no ghost copy of a converged one
     appears.  The locked Ritz vectors (see below) are projected out at every
     step.
+    The Gram-Schmidt of a triggered step runs against the whole run, not
+    only against Simon's intervals of indices whose omega passes eps^(3/4):
+    at a triggered step those hold 39 % of the rows on the g=2 Friedrichs
+    pencil, 26 % on the Szego one (h = 0.04, N = 200) and 55 % on the torus
+    (h = 0.028, N = 180).  A prototype that orthogonalized against them
+    alone (and reset only their omega) took as many triggered steps and was
+    no faster.
+    Slicing the spectrum at an inertia-certified interior shift was faster
+    on the g=2 pencils but slower on the torus, where the doubled spectrum
+    forces a locked restart in each slice.
     A Ritz pair (theta, s) of T has converged when
     beta_m |s_m| / |theta| <= _RITZ_TOL; lambda = sigma + 1/theta.  A run
     also ends when its Krylov space is invariant (breakdown): its Ritz values

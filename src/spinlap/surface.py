@@ -343,6 +343,8 @@ class SpinMesh:
     grading: float
     cycle_paths: list = None      # per torus: {'a': [v...], 'b': [v...]}
     structure: dict = None        # frozen discrete counts (see generate_mesh)
+    _covers: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)     # torus -> TorusCover
 
     @property
     def n_vertices(self):
@@ -360,6 +362,13 @@ class SpinMesh:
     def edge_table(self):
         """The oriented edge table (EdgeTable) that indexes every cochain."""
         return EdgeTable(self.triangles, self.n_vertices)
+
+    def torus_cover(self, torus):
+        """The cover graph (TorusCover) of torus j's regular edges, built on
+        first use and kept on this mesh."""
+        if torus not in self._covers:
+            self._covers[torus] = TorusCover.build(self, torus)
+        return self._covers[torus]
 
     def edges(self):
         """Sorted unique undirected edges as an (ne, 2) array."""
@@ -870,7 +879,7 @@ def _assemble_glued(surf, torus_pts, slit_params, ring_radii, h, grading, n_ang,
                                             n_ang)
     mesh.cycle_paths = []
     for j in range(surf.genus):
-        paths = {w: find_torus_cycle(mesh, j, w) for w in ("a", "b")}
+        paths = find_torus_cycles(mesh, j)
         for w, path in paths.items():
             if path is None:
                 raise MeshResolutionError(
@@ -919,64 +928,96 @@ def _patch_vertices(mesh):
                           + [p.ring_vertices.ravel() for p in mesh.cone_patches])
 
 
-def find_torus_cycle(mesh, torus, which, vertex_cost=None):
-    """Vertex cycle homologous to a_j ('a') or b_j ('b') in torus j, staying
-    in the regular zone (off the cone patches and slit chains).
+def _cover_node(n, x, shift):
+    """Cover node of vertex number x (of n) in the tile shifted by (s, t) in
+    {-1, 0, 1}^2."""
+    return (3 * (shift[..., 0] + 1) + shift[..., 1] + 1) * n + x
 
-    The torus's regular edges, lifted to the 3 x 3 cover by the lattice wrap
-    along them, form a graph in which the cycle is a path from a seed vertex
-    to its copy shifted by A_j or B_j: the first one breadth-first search
-    reaches, or, given `vertex_cost` (array), the one of least summed cost
-    of the vertices it enters (Dijkstra), e.g. to route the cycle away from
-    zeros of some field.  Returns None when the torus has no regular edge.
+
+@dataclass(frozen=True)
+class TorusCover:
+    """The regular edges of one torus (off the cone patches and slit chains),
+    lifted to its 3 x 3 cover by the lattice wrap along them.  Its nodes are
+    _cover_node(n, k, (s, t)) for the k-th of the torus's n regular
+    vertices, and it holds each edge once, from the lower vertex id to the
+    higher one.  Only int32 structure is kept: the vertex ids, ascending,
+    and the adjacency in canonical CSR form (indptr, indices: sorted rows,
+    no duplicates)."""
+    vertices: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+
+    @classmethod
+    def build(cls, mesh, torus):
+        table = mesh.edge_table
+        t, c = np.divmod(table.slots[:, 0], 3)
+        # lattice wrap from edges[:, 0] to edges[:, 1], off the edge's first side
+        wrap = ((mesh.tri_wrap[t, (c + 1) % 3].astype(int) - mesh.tri_wrap[t, c])
+                * table.sign[t, c][:, None])
+        singular = np.zeros(mesh.n_vertices, dtype=bool)
+        singular[_patch_vertices(mesh)] = True
+        for ch in mesh.slit_chains:
+            singular[ch["copy0"] + ch["copy1"]] = True
+        u, v = table.edges.T
+        keep = (mesh.tri_chart[t] == torus) & ~singular[u] & ~singular[v]
+        u, v, wrap = u[keep], v[keep], wrap[keep]
+        # numbered in id order, the vertices keep the order of every row
+        vertices = np.union1d(u, v)
+        u, v = np.searchsorted(vertices, u), np.searchsorted(vertices, v)
+        n = len(vertices)
+
+        shift = np.array(_TILES)[:, None, :]                 # (9, 1, 2)
+        to = shift + wrap                                    # (9, E, 2)
+        ok = np.all(np.abs(to) <= 1, axis=-1)
+        tails = _cover_node(n, np.broadcast_to(u, ok.shape), shift)[ok]
+        heads = _cover_node(n, np.broadcast_to(v, ok.shape), to)[ok]
+        graph = csr_matrix((np.ones(len(tails), dtype=np.int8), (tails, heads)),
+                           shape=(9 * n, 9 * n))
+        arrays = [np.array(a, dtype=np.int32)
+                  for a in (vertices, graph.indptr, graph.indices)]
+        for a in arrays:
+            a.flags.writeable = False
+        return cls(*arrays)
+
+
+def find_torus_cycles(mesh, torus, vertex_cost=None):
+    """Vertex cycles homologous to a_j and b_j in torus j, staying in the
+    regular zone (off the cone patches and slit chains): {'a': path,
+    'b': path}.
+
+    In the torus's cover graph (mesh.torus_cover) each cycle is a path from
+    a seed vertex to its copy shifted by A_j or B_j.  One search from the
+    seed gives both: breadth first, or, given `vertex_cost` (array), the
+    paths of least summed cost of the vertices they enter (Dijkstra), e.g.
+    to route the cycles away from zeros of some field.  A cycle is None when
+    the torus has no regular edge or the search does not reach its end.
     """
-    table = mesh.edge_table
-    t, c = np.divmod(table.slots[:, 0], 3)
-    # lattice wrap from edges[:, 0] to edges[:, 1], off the edge's first side
-    wrap = ((mesh.tri_wrap[t, (c + 1) % 3].astype(int) - mesh.tri_wrap[t, c])
-            * table.sign[t, c][:, None])
-    singular = np.zeros(mesh.n_vertices, dtype=bool)
-    singular[_patch_vertices(mesh)] = True
-    for ch in mesh.slit_chains:
-        singular[ch["copy0"] + ch["copy1"]] = True
-    u, v = table.edges.T
-    keep = (mesh.tri_chart[t] == torus) & ~singular[u] & ~singular[v]
-    if not np.any(keep):
-        return None
-    u, v, wrap = u[keep], v[keep], wrap[keep]
-
-    # cover node (x, s, t) for the shift (s, t) in {-1, 0, 1}^2
-    nv = mesh.n_vertices
-
-    def node(x, st):
-        return (3 * (st[..., 0] + 1) + st[..., 1] + 1) * nv + x
-
-    shift = np.array(_TILES)[:, None, :]                 # (9, 1, 2)
-    to = shift + wrap                                    # (9, E, 2)
-    ok = np.all(np.abs(to) <= 1, axis=-1)
-    tails = node(np.broadcast_to(u, ok.shape), shift)[ok]
-    heads = node(np.broadcast_to(v, ok.shape), to)[ok]
-    vertices = np.union1d(u, v)
-    seed = (vertices[0] if vertex_cost is None
-            else vertices[np.argmin(vertex_cost[vertices])])
-    start = node(seed, np.zeros(2, dtype=int))
-    target = node(seed, np.array([1, 0] if which == "a" else [0, 1]))
+    cover = mesh.torus_cover(torus)
+    n = len(cover.vertices)
+    if n == 0:
+        return {"a": None, "b": None}
+    seed = 0 if vertex_cost is None else np.argmin(vertex_cost[cover.vertices])
+    start = _cover_node(n, seed, np.zeros(2, dtype=int))
+    graph = csr_matrix((np.ones(len(cover.indices)), cover.indices,
+                        cover.indptr), shape=(9 * n, 9 * n))
     if vertex_cost is None:
-        graph = csr_matrix((np.ones(len(tails)), (tails, heads)),
-                           shape=(9 * nv, 9 * nv))
+        # an undirected search visits a node's out-edges before its
+        # in-edges, and that order picks the cycles
         _, pred = breadth_first_order(graph, start, directed=False,
                                       return_predecessors=True)
     else:
-        rows, cols = np.r_[tails, heads], np.r_[heads, tails]
-        graph = csr_matrix((vertex_cost[cols % nv], (rows, cols)),
-                           shape=(9 * nv, 9 * nv))
+        # each edge both ways, costing the vertex it enters
+        graph = (graph + graph.T).tocsr()
+        graph.data = vertex_cost[cover.vertices[graph.indices % n]]
         _, pred = dijkstra(graph, indices=start, return_predecessors=True)
-    path = [target]
-    while path[-1] >= 0 and path[-1] != start:
-        path.append(pred[path[-1]])
-    if path[-1] < 0:
-        return None
-    return (np.array(path[::-1]) % nv).tolist()
+    paths = {}
+    for which, step in (("a", (1, 0)), ("b", (0, 1))):
+        path = [_cover_node(n, seed, np.array(step))]
+        while path[-1] >= 0 and path[-1] != start:
+            path.append(pred[path[-1]])
+        paths[which] = (None if path[-1] < 0
+                        else cover.vertices[np.array(path[::-1]) % n].tolist())
+    return paths
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,39 @@ def test_spanning_tree_is_ascending_bfs(g2_pd):
     assert np.array_equal(got_parent[order[1:]], parent[order[1:]])
 
 
+def test_level_wise_tree_walks_match_the_vertex_loop(g2_pd):
+    # the Abel map and the h_delta sign field are propagated one BFS level
+    # at a time; each vertex still takes one addition (one sign choice)
+    # from its parent, so they equal the vertex-by-vertex walk exactly
+    order, parent = g2_pd.tree
+    mesh, upsilon = g2_pd.mesh, g2_pd.upsilon
+    abel = np.zeros((mesh.n_vertices, len(upsilon)), dtype=complex)
+    for v in order[1:]:
+        u = parent[v]
+        idx, sign = mesh.edge_table.lookup([u], [v])
+        abel[v] = abel[u] + upsilon[:, idx[0]] * sign[0]
+    assert np.array_equal(g2_pd.abel_vertex, abel.T)
+    delta = th.odd_characteristics(2)[0]
+    root = np.sqrt(g2_pd.h_delta_sq_vertex(delta))
+    signs = np.zeros(mesh.n_vertices, dtype=int)
+    signs[order[0]] = 1
+    for v in order[1:]:
+        u = parent[v]
+        same = abs(root[v] - signs[u] * root[u])
+        flip = abs(root[v] + signs[u] * root[u])
+        signs[v] = signs[u] if same <= flip else -signs[u]
+    assert np.array_equal(g2_pd._h_sign_field(delta), signs)
+
+
+def test_a_singular_laplacian_is_a_mesh_quality_error(g2_pd, monkeypatch):
+    mesh = g2_pd.mesh
+    L, DIVT = hodge.cotan_laplacian(mesh, mesh.tri_pos)
+    monkeypatch.setattr(hodge, "cotan_laplacian",
+                        lambda mesh, corners: (0.0 * L, DIVT))
+    with pytest.raises(hodge.MeshQualityError, match="singular"):
+        hodge.harmonic_basis(mesh, mesh.tri_pos)
+
+
 def test_abel_tri_handle_consistency(g2_pd):
     mesh = g2_pd.mesh
     t = 20

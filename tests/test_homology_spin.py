@@ -180,27 +180,81 @@ def test_calibration_bijective_on_evens(g2_setup):
 
 def test_calibration_searches_cycles_once_per_period_data(g2_setup, monkeypatch):
     """The h_delta monodromies depend on the period data and delta alone:
-    calibrating all 10 even spins on one PeriodData searches each of the 4
-    cycles once for each of the 2 reference characteristics, and every
-    characteristic is the one a fresh PeriodData gives."""
+    calibrating all 10 even spins on one PeriodData searches each of the 2
+    tori once (one search gives both of its cycles) for each of the 2
+    reference characteristics, and every characteristic is the one a fresh
+    PeriodData gives."""
     _, base = g2_setup
     pd = dataclasses.replace(base, _cache={})
     searches = []
-    find = sf.find_torus_cycle
+    find = sf.find_torus_cycles
 
-    def counted(*args, **kwargs):
-        searches.append(args[1:3])
-        return find(*args, **kwargs)
+    def counted(mesh, torus, vertex_cost=None):
+        searches.append(torus)
+        return find(mesh, torus, vertex_cost)
 
-    monkeypatch.setattr(sf, "find_torus_cycle", counted)
+    monkeypatch.setattr(sf, "find_torus_cycles", counted)
     even = [s for s in hs.enumerate_spin_structures(2) if s.is_even]
     chars = [hs.calibrate_characteristic((s.sigma_a, s.sigma_b), pd)
              for s in even]
-    assert len(searches) == 8
+    assert sorted(searches) == [0, 0, 1, 1]
     for spin, char in zip(even, chars):
         fresh = dataclasses.replace(base, _cache={})
         assert char == hs.calibrate_characteristic(
             (spin.sigma_a, spin.sigma_b), fresh)
+
+
+def test_each_torus_cover_is_built_once_per_mesh(monkeypatch):
+    """Meshing and calibrating all 10 even spins build the cover graph of
+    each torus once, and keep it on the mesh as int32 arrays that cannot be
+    written; another mesh, or a copy of this one, builds its own."""
+    builds = []
+    build = sf.TorusCover.build.__func__
+
+    def counted(cls, mesh, torus):
+        builds.append((id(mesh), torus))
+        return build(cls, mesh, torus)
+
+    monkeypatch.setattr(sf.TorusCover, "build", classmethod(counted))
+    surf = sf.build_surface(sf.ModuliPoint(genus=2, A=[1.0, 1.0],
+                                           B=[1j, 2j], C=[0.2, 0.5]))
+    mesh = sf.generate_mesh(surf, h=0.05)
+    pd = hodge.period_matrix(mesh)
+    for s in hs.enumerate_spin_structures(2):
+        if s.is_even:
+            hs.calibrate_characteristic((s.sigma_a, s.sigma_b), pd)
+    assert sorted(builds) == [(id(mesh), 0), (id(mesh), 1)]
+    for j in range(2):
+        cover = mesh.torus_cover(j)
+        for a in (cover.vertices, cover.indptr, cover.indices):
+            assert a.dtype == np.int32 and not a.flags.writeable
+    other = sf.generate_mesh(surf, h=0.05)
+    assert other.torus_cover(0) is not mesh.torus_cover(0)
+    assert dataclasses.replace(mesh).torus_cover(1) is not mesh.torus_cover(1)
+    assert len(builds) == 2 + 2 + 1
+
+
+_G3_MODULI = sf.ModuliPoint(genus=3, A=[1.0, 1.6, 1.0], B=[1.3j, 1.3j, 1.3j],
+                            C=[0.15, 0.5, 0.75, 1.1])
+
+
+@pytest.mark.parametrize("genus", [2, 3])
+def test_calibration_cycles_have_the_torus_periods(genus, request):
+    """The cycles the calibration routes away from the zeros of h_delta^2,
+    for both reference characteristics, are closed loops with periods A_j
+    and B_j."""
+    if genus == 2:
+        mesh, pd = request.getfixturevalue("g2_setup")
+    else:
+        mesh = sf.generate_mesh(sf.build_surface(_G3_MODULI), h=0.045)
+        pd = hodge.period_matrix(mesh)
+    m = mesh.surface.moduli
+    for delta in th.odd_characteristics(genus)[:2]:
+        for j in range(genus):
+            for which, period in (("a", m.A[j]), ("b", m.B[j])):
+                path, _ = hs._safe_cycle(pd, delta, j, which)
+                assert path[0] == path[-1]
+                assert abs(sf.cycle_period(mesh, path) - period) < 1e-12
 
 
 def test_calibration_delta_independent(g2_setup):

@@ -383,6 +383,35 @@ def test_a_long_inertia_count_runs_the_deflated_lanczos(extension, g2_h05,
                   * np.linalg.norm(MX, axis=0))
 
 
+def test_a_restart_locks_m_orthonormal_ritz_vectors(monkeypatch):
+    # a near-square torus (the torus-oracle shape of seed 1) splits its
+    # eigenvalue pairs by little: the first run converges all 109 wanted
+    # pairs, but the inertia count finds the copies it missed, so the run
+    # locks its 109 Ritz vectors as rows [0, 109) of the basis and restarts.
+    # The locked rows must be M-orthonormal to rounding: without their
+    # Cholesky-QR they are 2.6e-10 from it (8.6e-16 with it), which no
+    # eigenvalue or returned vector shows
+    B = -0.005910777931821048 + 0.9999825311995408j
+    s = sf.build_surface(sf.ModuliPoint(genus=1, A=[1.0], B=[B]))
+    mesh = sf.generate_mesh(s, h=0.028)
+    spin = [x for x in hs.enumerate_spin_structures(1)
+            if x.sigma_a == (1,) and x.sigma_b == (-1,)][0]
+    op = spec.assemble_operator(mesh, hs.build_sign_lift(mesh, spin),
+                                "friedrichs")
+    calls = _counting(monkeypatch, lambda call: 0)
+    bases, rows = [], spec._unpaged_rows
+    monkeypatch.setattr(spec, "_unpaged_rows",
+                        lambda *args: bases.append(rows(*args)) or bases[-1])
+    res = spec.eigenvalues(op, 109, vectors=True)
+    assert len(calls) == 2                   # one restart
+    locked, M = bases[-1][:109], op.mass
+    assert np.max(np.abs(locked.conj() @ (M @ locked.T) - np.eye(109))) <= 1e-13
+    ref = oracles.dense_pencil_eigenvalues(op.stiffness, M, 109)
+    assert np.max(np.abs(res.eigenvalues - ref) / ref) <= 1e-12
+    X = res.vectors
+    assert np.max(np.abs(X.conj().T @ (M @ X) - np.eye(109))) <= 1e-13
+
+
 def test_singular_shift_raises_solver_error(g2_h05, g2_h05_periods):
     # the exact Szego-kernel columns have zero stiffness rows, so the
     # holomorphic stiffness itself is singular
