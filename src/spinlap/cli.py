@@ -217,6 +217,7 @@ def cmd_spectrum(args):
     payload["reorthogonalized"] = res.reorthogonalized
     payload["residual_bound"] = res.residual_bound
     payload["inertia"] = res.inertia
+    payload["slices"] = res.slices
     heat = []
     if args.extension in ("friedrichs", "szego"):
         lam = res.positive()

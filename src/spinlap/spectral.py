@@ -34,6 +34,9 @@ That count certifies the solve: it ends when the pencil has exactly as many
 eigenvalues near sigma as were found (Ericsson & Ruhe; Grimes, Lewis & Simon,
 SIAM J. Matrix Anal. Appl. 15, 1994), and the exact Szego-kernel columns of
 the holomorphic pencil are scaled to unit mass so that its factor is accurate.
+A large request is split into spectrum slices, Lanczos searches at two or
+more shifts, and one count below the top of the last slice certifies them
+all.
 
 Heat traces and zeta determinants follow the split-Mellin regularization: for
 t < t0 the short-time model Area/(pi t) + c0 (c0_theory, from the cone
@@ -412,6 +415,9 @@ class SpectralResult:
     inertia: dict = None               # {sigma, d, count}: the pencil has
                                        # `count` eigenvalues in (sigma - d,
                                        # sigma + d), by Sylvester inertia
+    slices: list = None                # one {sigma, pairs, steps,
+                                       # reorthogonalized, restarts, used}
+                                       # per Lanczos shift, in run order
 
     def positive(self):
         """Eigenvalues with the numerical kernel removed."""
@@ -430,6 +436,9 @@ def eigenvalues(op: DiscreteOperator, N: int, vectors=False, sigma=None):
     larger N is clamped, and the result records the N asked for as
     `requested`.  With vectors=True the eigenvectors are mass-orthonormal and
     the eigenvalues their Rayleigh quotients.
+    At the default shift, a request of more than _SLICE_MIN pairs and at most
+    a quarter of n_dofs is solved in spectrum slices (_sliced_lanczos); the
+    result's `slices` records the shift and the Lanczos steps of each.
     The result's `inertia` certifies that no eigenvalue within d of sigma
     was missed.  Raises EigenCountError when N is not a positive integer,
     SolverError when sigma is an eigenvalue (A - sigma M singular) or the
@@ -440,21 +449,27 @@ def eigenvalues(op: DiscreteOperator, N: int, vectors=False, sigma=None):
                               f"a positive integer")
     ndof = op.n_dofs
     requested, N = N, min(N, ndof)
+    solver = _shift_invert_lanczos
     if sigma is None:
         sigma = -0.1 if op.extension.startswith("holomorphic") else 0.0
         if op.extension == "szego":
             sigma = -0.05
+        if _SLICE_MIN < N <= ndof // 4:
+            solver = _sliced_lanczos
     v0 = np.ones(ndof) + 0.5 * np.cos(np.arange(ndof))   # deterministic start
-    lam, vec, m, full, bound, inertia = _shift_invert_lanczos(
-        op.stiffness, op.mass, N, sigma, v0, vectors)
+    lam, vec, bound, inertia, slices = solver(op.stiffness, op.mass, N, sigma,
+                                              v0, vectors)
     vec = vec.T if vectors else None
     lam = np.where(np.abs(lam) < 1e-13, 0.0, lam)
     return SpectralResult(extension=op.extension, h=op.mesh.h,
                           genus=op.mesh.genus, area=flat_area(op.mesh.surface),
                           eigenvalues=lam, n_dofs=ndof, vectors=vec, op=op,
-                          requested=requested, krylov_dim=m,
-                          reorthogonalized=full,
-                          residual_bound=bound, inertia=inertia)
+                          requested=requested,
+                          krylov_dim=sum(s["steps"] for s in slices),
+                          reorthogonalized=sum(s["reorthogonalized"]
+                                               for s in slices),
+                          residual_bound=bound, inertia=inertia,
+                          slices=slices)
 
 
 _RITZ_TOL = 1e-12                # relative Ritz bound of converged pairs
@@ -462,7 +477,12 @@ _DGKS = 1.0 / math.sqrt(2.0)     # norm drop that calls a second Gram-Schmidt
 _EPS = np.finfo(float).eps
 _SEMI_ORTHO = math.sqrt(_EPS)    # estimated |<q_j, q_i>_M| that calls a full
                                  # Gram-Schmidt (semi-orthogonality)
-_WINDOW = 1e-8                   # relative widening of the counted window
+_WINDOW = 1e-8                   # least relative widening of a counted window
+_SLICE_MIN = 128                 # larger default-shift requests are sliced
+_OVERLAP = 6                     # spacings a slice's window reaches below
+                                 # the top of the one before it
+_ON_SPECTRUM = 1e-6              # an interior shift this close (relative) to
+                                 # an eigenvalue it found is moved off it
 
 
 def _factor(A, M, tau):
@@ -496,109 +516,71 @@ def _count_below(A, M, tau):
     return _factor(A, M, tau)[1]
 
 
-def _shift_invert_lanczos(A, M, N, sigma, v0, vectors):
-    """The N eigenpairs of the Hermitian pencil (A, M) nearest sigma.
+def _m_norm(x, Mx):
+    return math.sqrt(max(np.vdot(x, Mx).real, 0.0))
 
-    Lanczos on K = (A - sigma M)^-1 M in the M inner product, where K is
-    self-adjoint: alpha and beta are real and the projection is a real
-    tridiagonal T.  Partial reorthogonalization (Simon, Math. Comp. 42,
-    1984): Simon's recurrence, O(m) a step, estimates omega_ji = <q_j, q_i>_M
-    for the run's vectors from alpha, beta and a rounding term.  Only when
-    the largest estimate passes _SEMI_ORTHO = sqrt(eps) is the new vector
-    orthogonalized against the whole stored basis (classical Gram-Schmidt,
-    repeated once when it cancels), on that step and the next, and its
-    estimates reset to eps.  That keeps the basis semi-orthogonal, which
-    makes T, to rounding, the projection of K on the span of the basis: its
-    Ritz values are exact to rounding and no ghost copy of a converged one
-    appears.  The locked Ritz vectors (see below) are projected out at every
-    step.
-    The Gram-Schmidt of a triggered step runs against the whole run, not
-    only against Simon's intervals of indices whose omega passes eps^(3/4):
-    at a triggered step those hold 39 % of the rows on the g=2 Friedrichs
-    pencil, 26 % on the Szego one (h = 0.04, N = 200) and 55 % on the torus
-    (h = 0.028, N = 180).  A prototype that orthogonalized against them
-    alone (and reset only their omega) took as many triggered steps and was
-    no faster.
-    Slicing the spectrum at an inertia-certified interior shift was faster
-    on the g=2 pencils but slower on the torus, where the doubled spectrum
-    forces a locked restart in each slice.
-    A Ritz pair (theta, s) of T has converged when
-    beta_m |s_m| / |theta| <= _RITZ_TOL; lambda = sigma + 1/theta.  A run
-    also ends when its Krylov space is invariant (breakdown): its Ritz values
-    are then exact, as they are once the basis spans the whole space.
 
-    One Krylov space holds a single vector of each eigenspace, so a run
-    whose N wanted pairs have converged may still miss copies of a multiple
-    eigenvalue.  The one exit test is an inertia count (Ericsson & Ruhe,
-    Math. Comp. 35, 1980; Grimes, Lewis & Simon, SIAM J. Matrix Anal. Appl.
-    15, 1994): with d = (1 + _WINDOW) max |lambda - sigma| over the N nearest
-    pairs found, the LDL^H pivots of A - (sigma +- d) M give the number of
-    eigenvalues in (sigma - d, sigma + d) (_factor); the lower count is the
-    shift's own, zero, when sigma lies below the spectrum.  The solve ends
-    when the count equals the pairs found in that window.  A larger count
-    locks the run's converged pairs in the window (their Ritz vectors join
-    the basis, M-orthonormalized) and starts the next run from a fixed
-    random vector on the operator deflated by them; a smaller one raises
-    SolverError.
+def _orthogonalize(M, B, w, Mw, nrm):
+    """w minus its M-projection on the rows of B (classical Gram-Schmidt,
+    repeated once when it cancels); (w, M w, M-norm of w), the norm 0 when w
+    lies in the span of the rows (breakdown)."""
+    for _ in range(2):
+        before = nrm
+        w = w - B.T @ np.conj(B @ np.conj(Mw))
+        Mw = M @ w
+        nrm = _m_norm(w, Mw)
+        if nrm >= _DGKS * before:
+            return w, Mw, nrm
+    return w, Mw, 0.0
 
-    Ritz vectors of a semi-orthogonal basis are M-orthonormal only to about
-    1e-10 (at g=2, h = 0.05; 5e-10 on the holomorphic pencil, whose kernel
-    vectors then leave residuals of 1e-8), so with `vectors` the returned
-    ones are M-orthonormalized by two Cholesky-QR passes and the pairs
-    replaced by the Rayleigh-Ritz pairs of their span: values and vectors
-    are then consistent to rounding, and the values agree with the Lanczos
-    ones to about 1e-14 relative.
 
-    Returns (lambda in ascending order, M-orthonormal eigenvectors as rows
-    if `vectors` else None, Lanczos steps, steps that reorthogonalized,
-    largest relative Ritz bound, inertia count as a dict of sigma, d and
-    count)."""
-    n = A.shape[0]
-    dtype = np.result_type(A.dtype, M.dtype)
-    lu, below = _factor(A, M, sigma)
-    solve = lu.solve
-    noise = _EPS * math.sqrt(n)
+class _Slice:
+    """The Lanczos search for the N eigenpairs of the Hermitian pencil
+    (A, M) nearest one shift sigma: one run, or after restart() several,
+    each on the operator deflated by the pairs locked before it.
 
-    def m_norm(x, Mx):
-        return math.sqrt(max(np.vdot(x, Mx).real, 0.0))
+    `found` holds theta = 1 / (lambda - sigma) of the pairs found: the
+    locked ones, then the last run's converged ones; `th`, `rel` and `conv`
+    are that run's Ritz values, relative Ritz bounds and converged mask."""
 
-    def orthogonalize(B, w, Mw, nrm):
-        """w minus its M-projection on the rows of B (classical Gram-Schmidt,
-        repeated once when it cancels); (w, M w, M-norm of w), the norm 0
-        when w lies in the span of the rows (breakdown)."""
-        for _ in range(2):
-            before = nrm
-            w = w - B.T @ np.conj(B @ np.conj(Mw))
-            Mw = M @ w
-            nrm = m_norm(w, Mw)
-            if nrm >= _DGKS * before:
-                return w, Mw, nrm
-        return w, Mw, 0.0
+    def __init__(self, A, M, N, sigma, v0):
+        self.A, self.M, self.N, self.sigma = A, M, N, sigma
+        self.n = n = A.shape[0]
+        self.dtype = np.result_type(A.dtype, M.dtype)
+        lu, self.below = _factor(A, M, sigma)
+        self.solve = lu.solve
+        # rows [0, k) of `basis` hold the locked Ritz vectors, rows [k, k + m)
+        # the current run's Lanczos vectors.  The first run converges within
+        # about 2.5 N steps; a larger one grows the block by `chunk` rows,
+        # which copies it
+        self.chunk = max(N // 2, 32)
+        self.basis = _unpaged_rows(min(n, 3 * N + self.chunk), n, self.dtype)
+        self.theta = self.bound = np.empty(0)        # of the locked pairs
+        self.k = self.steps = self.full_steps = self.restarts = 0
+        self._run(np.asarray(v0, dtype=self.dtype))
 
-    # rows [0, k) of `basis` hold the locked Ritz vectors, rows [k, k + m)
-    # the current run's Lanczos vectors.  The first run converges within
-    # about 2.5 N steps; a larger one grows the block by `chunk` rows, which
-    # copies it
-    chunk = max(N // 2, 32)
-    basis = _unpaged_rows(min(n, 3 * N + chunk), n, dtype)
-    theta = bound = np.empty(0)        # of the locked pairs
-    k, steps, full_steps, run = 0, 0, 0, 0
-    w = np.asarray(v0, dtype=dtype)
-    Mw = M @ w
-    while True:
-        w, Mw, nrm = orthogonalize(basis[:k], w, Mw, m_norm(w, Mw))
+    def _run(self, w):
+        """One Lanczos run from w, until its wanted pairs converge."""
+        # the factor is kept for one run only: a restart, which is rare,
+        # factors again, and two slices do not hold two factors
+        solve = self.solve or _factor(self.A, self.M, self.sigma)[0].solve
+        self.solve = None
+        M, N, n, k = self.M, self.N, self.n, self.k
+        basis, dtype, noise = self.basis, self.dtype, _EPS * math.sqrt(self.n)
+        Mw = M @ w
+        w, Mw, nrm = _orthogonalize(M, basis[:k], w, Mw, _m_norm(w, Mw))
         size = n - k                   # dimension of the deflated space
         alpha, beta = np.zeros(size), np.zeros(size)
         # omega[j % 2, :j + 1] estimates <q_j, q_i>_M for i <= j
         omega = np.zeros((2, size + 1))
         omega[0, 0] = 1.0
-        m, again, p = 0, False, None
-        check = min(size, 2 * N if run == 0 else max(1, N // 8))
+        m, again, p, full_steps = 0, False, None, 0
+        check = min(size, 2 * N if not self.restarts else max(1, N // 8))
         while True:
             if k + m == len(basis):
-                grown = _unpaged_rows(min(n, k + m + chunk), n, dtype)
+                grown = _unpaged_rows(min(n, k + m + self.chunk), n, dtype)
                 grown[:k + m] = basis[:k + m]
-                basis = grown
+                basis = self.basis = grown
             basis[k + m] = q = w / nrm
             p_last, p = p, Mw / nrm    # M q of the last step and this one
             w = solve(p)
@@ -612,7 +594,7 @@ def _shift_invert_lanczos(A, M, N, sigma, v0, vectors):
                 skew = abs(np.vdot(p_last, w))
             j, m = m, m + 1            # q_j is done, w / nrm becomes q_m
             Mw = M @ w
-            nrm = m_norm(w, Mw)
+            nrm = _m_norm(w, Mw)
             # Simon's recurrence: beta_j omega_mi = beta_i omega_j,i+1
             # + (alpha_i - alpha_j) omega_ji + beta_i-1 omega_j,i-1
             # - beta_j-1 omega_j-1,i, plus the rounding of steps i and j,
@@ -638,8 +620,8 @@ def _shift_invert_lanczos(A, M, N, sigma, v0, vectors):
                 new[:j], new[j] = est / nrm, _EPS
             new[m] = 1.0
             if full or k:              # the locked vectors, at every step
-                w, Mw, nrm = orthogonalize(basis[:k + m if full else k], w,
-                                           Mw, nrm)
+                w, Mw, nrm = _orthogonalize(M, basis[:k + m if full else k],
+                                            w, Mw, nrm)
             if m == size:
                 nrm = 0.0              # the basis spans the whole space
             beta[j] = nrm
@@ -648,7 +630,7 @@ def _shift_invert_lanczos(A, M, N, sigma, v0, vectors):
                 rel = np.abs(nrm * s[-1]) / np.abs(th)
                 # the N-th largest |theta| so far; this run's pairs above it
                 # and its largest one must converge
-                mags = np.sort(np.abs(np.concatenate([theta, th])))[::-1]
+                mags = np.sort(np.abs(np.concatenate([self.theta, th])))[::-1]
                 cut = mags[min(N, len(mags)) - 1]
                 want = np.abs(th) >= cut
                 want[np.argmax(np.abs(th))] = True
@@ -656,54 +638,357 @@ def _shift_invert_lanczos(A, M, N, sigma, v0, vectors):
                     break
                 del s                  # free before the next check's
                 check = min(size, m + max(1, N // 8))
-        steps += m
-        # the pairs found: the locked ones and this run's converged ones
-        conv = rel <= _RITZ_TOL
-        found = np.concatenate([theta, th[conv]])
-        mags = np.sort(np.abs(found))[::-1]
-        d = (1.0 + _WINDOW) / mags[min(N, len(mags)) - 1]
-        inside = int(np.count_nonzero(np.abs(found) * d > 1.0))
+        self.steps += m
+        self.full_steps += full_steps
+        self.m, self.th, self.s, self.rel = m, th, s, rel
+        self.conv = rel <= _RITZ_TOL
+        if self.below:
+            # inside the spectrum the LDL^H grows, and its solves leave
+            # relative residuals up to 7e-11 (g=2, h = 0.04): the Ritz values
+            # carry up to 7e-12 of it, and the copies of a 4-fold one spread
+            # over 2e-8.  The Rayleigh quotients of the Ritz vectors do not
+            # see it; one step of iterative refinement in every solve would
+            # cost a solve a step.  The real coefficients multiply a complex
+            # basis as its float view, a real product, 16 vectors at a time
+            cols, rows = np.flatnonzero(self.conv), basis[k:k + m]
+            flat = rows.view(np.float64)
+            for c in range(0, len(cols), 16):
+                X = (s[:, cols[c:c + 16]].T @ flat).view(dtype)
+                th[cols[c:c + 16]] = 1.0 / (
+                    _rayleigh_quotients(self.A, M, X) - self.sigma)
+        self.found = np.concatenate([self.theta, th[self.conv]])
+
+    def window(self):
+        """(d, inside): the half-width d of the window (sigma - d, sigma + d)
+        that holds the N pairs found nearest sigma, and the number of pairs
+        found inside it.  The window ends midway from the N-th of them to
+        the next Ritz value beyond it, so that A - (sigma +- d) M stays as
+        far from an eigenvalue as the search can tell, and at least
+        _WINDOW (relative) beyond that N-th pair."""
+        found = self.found
+        cut = np.sort(np.abs(found))[::-1][min(self.N, len(found)) - 1]
+        ritz = np.abs(np.concatenate([self.theta, self.th]))
+        beyond = ritz[ritz < cut]
+        d = (1.0 + _WINDOW) / cut
+        if beyond.size:
+            d = max(d, 0.5 * (1.0 / cut + 1.0 / beyond.max()))
+        return d, int(np.count_nonzero(np.abs(found) * d > 1.0))
+
+    def restart(self, d, grow=0):
+        """Lock the last run's converged pairs within d of sigma (their Ritz
+        vectors join the basis, M-orthonormalized) and run again, wanting
+        `grow` more pairs, from a fixed random vector on the operator
+        deflated by them.  False, with nothing run, when there is no pair to
+        lock or nothing left to search."""
+        keep = self.conv & (np.abs(self.th) * d > 1.0)
+        if not keep.any() or self.k + np.count_nonzero(keep) == self.n:
+            return False
+        # the Ritz vectors overwrite the run's first rows, a column block at
+        # a time, so that no second copy of the basis is made
+        basis, k, m = self.basis, self.k, self.m
+        coef = self.s[:, keep].T.astype(self.dtype)
+        self.s = None
+        for c in range(0, self.n, 256):
+            basis[k:k + len(coef), c:c + 256] = coef @ basis[k:k + m, c:c + 256]
+        self.k = k = k + len(coef)
+        basis[:k] = _m_orthonormal(basis[:k], self.M)
+        self.theta = np.concatenate([self.theta, self.th[keep]])
+        self.bound = np.concatenate([self.bound, self.rel[keep]])
+        self.N += grow
+        self.restarts += 1
+        self._run(np.random.default_rng(self.restarts).standard_normal(self.n))
+        return True
+
+    def found_values(self):
+        """lambda of the pairs found, in the order of `found`."""
+        return self.sigma + 1.0 / self.found
+
+    def pairs(self, idx, vectors):
+        """(lambda, relative Ritz bounds, Ritz vectors as rows if `vectors`
+        else None) of the found pairs idx, indices into `found`."""
+        lam = self.found_values()[idx]
+        bound = np.concatenate([self.bound, self.rel[self.conv]])[idx]
+        if not vectors:
+            return lam, bound, None
+        k, basis = self.k, self.basis
+        X = np.empty((len(idx), self.n), self.dtype)
+        old = idx < k
+        X[old] = basis[idx[old]]
+        cols = np.flatnonzero(self.conv)[idx[~old] - k]
+        X[~old] = self.s[:, cols].T.astype(self.dtype) @ basis[k:k + self.m]
+        return lam, bound, X
+
+    def record(self, used=True):
+        return {"sigma": float(self.sigma), "pairs": self.N,
+                "steps": self.steps, "reorthogonalized": self.full_steps,
+                "restarts": self.restarts, "used": used}
+
+
+def _shift_invert_lanczos(A, M, N, sigma, v0, vectors):
+    """The N eigenpairs of the Hermitian pencil (A, M) nearest sigma.
+
+    Lanczos on K = (A - sigma M)^-1 M in the M inner product, where K is
+    self-adjoint: alpha and beta are real and the projection is a real
+    tridiagonal T.  Partial reorthogonalization (Simon, Math. Comp. 42,
+    1984): Simon's recurrence, O(m) a step, estimates omega_ji = <q_j, q_i>_M
+    for the run's vectors from alpha, beta and a rounding term.  Only when
+    the largest estimate passes _SEMI_ORTHO = sqrt(eps) is the new vector
+    orthogonalized against the whole stored basis (classical Gram-Schmidt,
+    repeated once when it cancels), on that step and the next, and its
+    estimates reset to eps.  That keeps the basis semi-orthogonal, which
+    makes T, to rounding, the projection of K on the span of the basis: its
+    Ritz values are exact to rounding and no ghost copy of a converged one
+    appears.  The locked Ritz vectors (see below) are projected out at every
+    step.
+    The Gram-Schmidt of a triggered step runs against the whole run, not
+    only against Simon's intervals of indices whose omega passes eps^(3/4):
+    at a triggered step those hold 39 % of the rows on the g=2 Friedrichs
+    pencil, 26 % on the Szego one (h = 0.04, N = 200) and 55 % on the torus
+    (h = 0.028, N = 180).  A prototype that orthogonalized against them
+    alone (and reset only their omega) took as many triggered steps and was
+    no faster.
+    The Gram-Schmidt sweeps and the convergence checks of a run grow with
+    the square of its length, about 2.2 N steps, so a large request at the
+    default shift is split into spectrum slices (_sliced_lanczos): runs of
+    about half the length, faster on the g=2 and the tilted-torus pencils
+    of BENCH_eigensolve.json.  On the square torus, whose 4- and 8-fold
+    eigenvalues both slices miss copies of, a slice restarts and the sliced
+    solve is slower.
+    A Ritz pair (theta, s) of T has converged when
+    beta_m |s_m| / |theta| <= _RITZ_TOL; lambda = sigma + 1/theta.  A run
+    also ends when its Krylov space is invariant (breakdown): its Ritz values
+    are then exact, as they are once the basis spans the whole space.  At a
+    shift inside the spectrum the converged Ritz values are replaced by the
+    Rayleigh quotients of their Ritz vectors (_Slice._run).
+
+    One Krylov space holds a single vector of each eigenspace, so a run
+    whose N wanted pairs have converged may still miss copies of a multiple
+    eigenvalue.  The one exit test is an inertia count (Ericsson & Ruhe,
+    Math. Comp. 35, 1980; Grimes, Lewis & Simon, SIAM J. Matrix Anal. Appl.
+    15, 1994): the window (sigma - d, sigma + d) holds the N nearest pairs
+    found and ends midway to the next Ritz value (_Slice.window), and the
+    LDL^H pivots of A - (sigma +- d) M give the number of eigenvalues in it
+    (_factor); the lower count is the shift's own, zero, when sigma lies
+    below the spectrum.  The solve ends when the count equals the pairs
+    found in that window.  A larger count locks the run's converged pairs in
+    the window (their Ritz vectors join the basis, M-orthonormalized) and
+    starts the next run from a fixed random vector on the operator deflated
+    by them (_Slice.restart); a smaller one raises SolverError.
+
+    Ritz vectors of a semi-orthogonal basis are M-orthonormal only to about
+    1e-10 (at g=2, h = 0.05; 5e-10 on the holomorphic pencil, whose kernel
+    vectors then leave residuals of 1e-8), so with `vectors` the returned
+    ones are M-orthonormalized by two Cholesky-QR passes and the pairs
+    replaced by the Rayleigh-Ritz pairs of their span: values and vectors
+    are then consistent to rounding, and the values agree with the Lanczos
+    ones to about 1e-14 relative.
+
+    Returns (lambda in ascending order, M-orthonormal eigenvectors as rows
+    if `vectors` else None, largest relative Ritz bound, inertia count as a
+    dict of sigma, d and count, [the slice's record])."""
+    sl = _Slice(A, M, N, sigma, v0)
+    while True:
+        d, inside = sl.window()
         count = _count_below(A, M, sigma + d)
-        if below:                      # sigma lies inside the spectrum
+        if sl.below:                   # sigma lies inside the spectrum
             count -= _count_below(A, M, sigma - d)
         if count < inside:
             raise SolverError(f"{inside} eigenpairs found within {d:.6g} of "
                               f"{sigma}, where the pencil has {count}")
-        if count == inside and len(found) >= N:
+        if count == inside and len(sl.found) >= N:
             break
-        keep = conv & (np.abs(th) * d > 1.0)
-        if not keep.any() or k + np.count_nonzero(keep) == n:
+        if not sl.restart(d):
             raise SolverError(f"the pencil has {count} eigenvalues within "
                               f"{d:.6g} of {sigma}, a deflated run found "
                               f"no more than {inside}")
-        # the Ritz vectors overwrite the run's first rows, a column block at
-        # a time, so that no second copy of the basis is made
-        coef = s[:, keep].T.astype(dtype)
-        del s
-        for c in range(0, n, 256):
-            basis[k:k + len(coef), c:c + 256] = coef @ basis[k:k + m, c:c + 256]
-        k += len(coef)
-        basis[:k] = _m_orthonormal(basis[:k], M)
-        theta = np.concatenate([theta, th[keep]])
-        bound = np.concatenate([bound, rel[keep]])
-        run += 1
-        w = np.random.default_rng(run).standard_normal(n)
-        Mw = M @ w
-    top = np.argsort(-np.abs(found))[:N]
-    top = top[np.argsort(1.0 / found[top])]    # ascending lambda
-    lam, X = sigma + 1.0 / found[top], None
-    if vectors:                        # Ritz vectors of the returned pairs only
-        X = np.empty((len(top), n), dtype)
-        old = top < k
-        X[old] = basis[top[old]]
-        cols = np.flatnonzero(conv)[top[~old] - k]
-        X[~old] = s[:, cols].T.astype(dtype) @ basis[k:k + m]
-        X = _m_orthonormal(X, M)
-        lam, U = np.linalg.eigh(np.conj(X) @ (A @ X.T))
-        X = U.T @ X
-    return (lam, X, steps, full_steps,
-            float(np.concatenate([bound, rel[conv]])[top].max()),
-            {"sigma": float(sigma), "d": float(d), "count": count})
+    top = np.argsort(-np.abs(sl.found))[:N]
+    top = top[np.argsort(1.0 / sl.found[top])]    # ascending lambda
+    lam, bound, X = sl.pairs(top, vectors)
+    lam, X = _rayleigh_ritz(A, M, lam, X)
+    return (lam, X, float(bound.max()),
+            {"sigma": float(sigma), "d": float(d), "count": count},
+            [sl.record()])
+
+
+def _sliced_lanczos(A, M, N, sigma, v0, vectors):
+    """The N lowest eigenpairs of the Hermitian pencil (A, M), sigma below
+    its spectrum, from spectrum slices (Grimes, Lewis & Simon, SIAM J.
+    Matrix Anal. Appl. 15, 1994): _Slice searches at two or more shifts.
+
+    The first slice, at sigma, takes N // 2 pairs.  Each next one sits
+    above the last slice's top, at an interior shift placed from the
+    spacing of the eigenvalues found so far (_interior_slice), with a window
+    that reaches a few spacings below that top.  The top of slice i is
+    t_i = sigma_i + d_i, the end of its count window (_Slice.window), and the
+    slice owns the pairs it found in [t_i-1, t_i) (t_0 = -inf), so that no
+    eigenvalue is taken from two slices.  Slices are added until they own N
+    pairs.
+    One inertia count certifies the union: the LDL^H count below the last
+    top must equal the pairs the slices own.  Two slices take three
+    factorizations (two shifts, one count) where two self-certified runs
+    take five.  A larger count first moves the tops down into the overlaps
+    (_moved_tops): the slice above a top may hold the copies of a multiple
+    eigenvalue that the one below missed next to it.  If the count is still
+    larger, the counts below the lower tops are made, bottom up, each once:
+    the first slice that owns fewer pairs than its count says locks its
+    converged pairs within reach of its part and runs again, wanting the
+    missing ones (_Slice.restart), and the certificate is checked again on
+    the counts already made.  A smaller count raises SolverError.
+    An interior slice takes the Rayleigh quotients of its converged Ritz
+    vectors for their Ritz values (_Slice._run): its own carry the rounding
+    of solves with a grown LDL^H, too much to decide by them on which side
+    of a top a copy of a multiple eigenvalue lies.
+
+    Returns what _shift_invert_lanczos returns, with inertia (sigma, d,
+    count) = (sigma, last top - sigma, count below the last top) and one
+    record per slice run."""
+    slices = [_Slice(A, M, N // 2, sigma, v0)]
+    tops = [sigma + slices[0].window()[0]]
+    ran, counts = list(slices), {}     # counts[i]: eigenvalues below tops[i]
+
+    def count(i):
+        if i not in counts:
+            counts[i] = _count_below(A, M, tops[i])
+        return counts[i]
+
+    while True:
+        values = [sl.found_values() for sl in slices]
+        parts = _owned(values, tops)
+        have = sum(map(len, parts))
+        if have < N:
+            union = np.sort(np.concatenate(
+                [v[p] for v, p in zip(values, parts)]))
+            sl, dropped = _interior_slice(A, M, union, tops[-1], N - have, v0)
+            ran += dropped + [sl]
+            slices.append(sl)
+            tops.append(sl.sigma + sl.window()[0])
+            # the new slice may own nothing (a gap in the spectrum), but
+            # its top must move up
+            if tops[-1] <= tops[-2]:
+                raise SolverError(f"the slice at {sl.sigma:.6g} ends at "
+                                  f"{tops[-1]:.6g}, below {tops[-2]:.6g}")
+            continue
+        total = count(len(slices) - 1)
+        if total != have:
+            # the slice above a top may hold the copies that the one below
+            # missed next to it
+            moved = _owned(values, _moved_tops(values, tops))
+            if sum(map(len, moved)) == total:
+                parts, have = moved, total
+        if total == have:
+            break
+        below = 0
+        for i, sl in enumerate(slices):
+            below += len(parts[i])
+            if below != count(i):
+                break
+        if below > count(i):
+            raise SolverError(f"the slices found {below} eigenpairs below "
+                              f"{tops[i]:.6g}, where the pencil has "
+                              f"{count(i)}")
+        # the slice's part lies within reach of its shift
+        reach = max(tops[i] - sl.sigma, sl.sigma - tops[i - 1] if i else 0.0)
+        if not sl.restart(reach * (1.0 + _WINDOW), grow=count(i) - below):
+            raise SolverError(f"the pencil has {count(i)} eigenvalues below "
+                              f"{tops[i]:.6g}, the slices found no more "
+                              f"than {below}")
+    records = [x if isinstance(x, dict) else x.record() for x in ran]
+    del ran
+    lam, bound, X = [], [], []
+    for p in parts:                    # each slice goes once its pairs are out
+        sl = slices.pop(0)
+        p = p[np.argsort(sl.found_values()[p])][:N - sum(map(len, lam))]
+        lam_i, bound_i, X_i = sl.pairs(p, vectors)
+        lam.append(lam_i)
+        bound.append(bound_i)
+        X.append(X_i)
+    lam, X = _rayleigh_ritz(A, M, np.concatenate(lam),
+                            np.concatenate(X) if vectors else None)
+    return (lam, X, float(np.concatenate(bound).max()),
+            {"sigma": float(sigma), "d": float(tops[-1] - sigma),
+             "count": total}, records)
+
+
+def _owned(values, tops):
+    """The indices of the eigenvalues each slice owns: values[i] in
+    [tops[i - 1], tops[i]), and below tops[0] for the first slice."""
+    lows = [-math.inf] + list(tops[:-1])
+    return [np.flatnonzero((v >= lo) & (v < hi))
+            for v, lo, hi in zip(values, lows, tops)]
+
+
+def _moved_tops(values, tops):
+    """tops, each but the last moved down into the gap below it where the
+    slices on either side own the most eigenvalues together (the highest
+    such gap).  A gap is one between consecutive values of the two slices
+    wider than _WINDOW (relative), so the two values of one eigenvalue,
+    1e-13 apart, never fall on two sides of it and count twice."""
+    tops = list(tops)
+    for i in range(len(tops) - 1):
+        low = tops[i - 1] if i else -math.inf
+        lower, upper = values[i], values[i + 1]
+        both = np.sort(np.concatenate([lower, upper]))
+        both = both[(both >= low) & (both < tops[i])]
+        gaps = np.flatnonzero(np.diff(both) > _WINDOW * both[1:])
+        best, owned = tops[i], -1
+        for t in np.append(0.5 * (both[gaps] + both[gaps + 1]), tops[i]):
+            n = (np.count_nonzero((lower >= low) & (lower < t))
+                 + np.count_nonzero((upper >= t) & (upper < tops[i + 1])))
+            if n >= owned:
+                best, owned = t, n
+        tops[i] = best
+    return tops
+
+
+def _interior_slice(A, M, lam, top, want, v0):
+    """The slice above `top` for the `want` eigenvalues that the ascending
+    `lam` below it lacks, at the shift _next_shift places.  A shift within
+    _ON_SPECTRUM (relative) of an eigenvalue the slice found is moved to the
+    midpoint of its two found neighbours, and the slice run again: there the
+    Lanczos basis loses accuracy, and a spurious Ritz value can stand in for
+    a missed eigenvalue.  Returns (slice, [record of the dropped run, if
+    any])."""
+    shift, pairs = _next_shift(lam, top, want)
+    sl = _Slice(A, M, pairs, shift, v0)
+    found = np.sort(sl.found_values())
+    lo, hi = found[found <= shift], found[found > shift]
+    if (np.min(np.abs(found - shift)) > _ON_SPECTRUM * abs(shift)
+            or not lo.size or not hi.size):
+        return sl, []
+    dropped = [sl.record(used=False)]
+    sl = None                          # its basis goes before the next one
+    return _Slice(A, M, pairs, 0.5 * (lo[-1] + hi[0]), v0), dropped
+
+
+def _next_shift(lam, top, want):
+    """(shift, pairs) of the slice above `top` that finds the `want`
+    eigenvalues missing from the ascending `lam` below it.  At the mean
+    spacing of lam's upper half, its window of `pairs` eigenvalues reaches
+    _OVERLAP spacings below top and want // 6, at least _OVERLAP, beyond the
+    want-th: the spacing grows along the spectrum, and a window that falls
+    short costs one more slice, where one that starts above top costs a
+    restart."""
+    upper = lam[len(lam) // 2:]
+    spacing = (upper[-1] - upper[0]) / max(len(upper) - 1, 1)
+    beyond = max(want // 6, _OVERLAP)
+    return (top + 0.5 * (want + beyond - _OVERLAP) * spacing,
+            want + beyond + _OVERLAP)
+
+
+def _rayleigh_quotients(A, M, X):
+    """x^H A x / x^H M x of each row x of X."""
+    num = np.einsum("ij,ji->i", np.conj(X), A @ X.T).real
+    return num / np.einsum("ij,ji->i", np.conj(X), M @ X.T).real
+
+
+def _rayleigh_ritz(A, M, lam, X):
+    """(lam, X) unchanged without vectors, else the Rayleigh-Ritz pairs of
+    the span of the rows of X, made M-orthonormal first."""
+    if X is None:
+        return lam, X
+    X = _m_orthonormal(X, M)
+    lam, U = np.linalg.eigh(np.conj(X) @ (A @ X.T))
+    return lam, U.T @ X
 
 
 def _m_orthonormal(X, M):

@@ -85,6 +85,22 @@ def test_spectrum_command(g1_moduli_file, tmp_path):
     assert d["residual_bound"] <= 1e-12
     # the Sylvester inertia certificate: exactly the 40 found lie within d
     assert d["inertia"]["count"] == 40 and d["inertia"]["d"] > 0
+    assert [s["steps"] for s in d["slices"]] == [d["krylov_dim"]]
+
+
+def test_spectrum_command_writes_the_slices(g2_moduli_file, tmp_path):
+    # 200 Szego eigenvalues of 1252 dofs: two spectrum slices, one count
+    rc = cli.main(["spectrum", "--moduli", g2_moduli_file, "--extension",
+                   "szego", "--h", "0.05", "--num-eigs", "200",
+                   "--out", str(tmp_path)])
+    assert rc == 0
+    d = json.loads((tmp_path / "spectrum.json").read_text())
+    lam = np.array(d["eigenvalues"])
+    assert len(lam) == 200 and lam[0] > 0 and np.all(np.diff(lam) >= 0)
+    assert d["kernel_dimension"] == 0 and d["inertia"]["count"] >= 200
+    used = [s for s in d["slices"] if s["used"]]
+    assert len(used) == 2 and used[0]["sigma"] == d["inertia"]["sigma"]
+    assert sum(s["steps"] for s in d["slices"]) == d["krylov_dim"]
 
 
 @pytest.mark.parametrize("token", ["even:7", "abc", "-1"])

@@ -422,6 +422,264 @@ def test_singular_shift_raises_solver_error(g2_h05, g2_h05_periods):
     with pytest.raises(spec.SolverError):
         spec.eigenvalues(op, 4, sigma=0.0)
 
+
+# -- spectrum slices: N > spec._SLICE_MIN and N <= n_dofs / 4 at the default
+# shift
+
+def _used(res):
+    return [s for s in res.slices if s["used"]]
+
+
+def test_a_count_sits_midway_to_the_next_ritz_value(g2_h05):
+    # the count of a single slice sits between lambda_N and lambda_N+1, at
+    # least halfway: the next Ritz value beyond the pairs found is no lower
+    # than lambda_N+1 (interlacing).  It used to sit 1e-8 above lambda_N,
+    # where the LDL^H pivots grow
+    mesh, _, lift = g2_h05
+    for extension in ("friedrichs", "szego"):
+        op = spec.assemble_operator(mesh, lift, extension)
+        ref = oracles.dense_pencil_eigenvalues(op.stiffness, op.mass, 25)
+        res = spec.eigenvalues(op, 24)
+        tau = res.inertia["sigma"] + res.inertia["d"]
+        assert 0.5 * (ref[23] + ref[24]) <= tau < ref[24]
+
+
+def test_a_szego_count_next_to_an_eigenvalue_stays_real():
+    # 280 Szego eigenvalues of [00|00] at h = 0.028 with the cone rings
+    # graded by 0.7: a count 1e-8 above lambda_280 met a pivot with a
+    # non-real part (SolverError: A - 323.223205366173 M has a non-real
+    # pivot); the other nine even spins passed
+    m = sf.ModuliPoint(genus=2, A=[1.0, 1.0], B=[1j, 2j], C=[0.2, 0.5])
+    mesh = sf.generate_mesh(sf.build_surface(m), h=0.028, grading=0.7)
+    spin = [x for x in hs.enumerate_spin_structures(2)
+            if x.sigma_a == (-1, -1) and x.sigma_b == (-1, -1)][0]
+    op = spec.assemble_operator(mesh, hs.build_sign_lift(mesh, spin), "szego")
+    res = spec.eigenvalues(op, 280)
+    lam = res.eigenvalues
+    assert len(_used(res)) >= 2 and res.inertia["count"] >= 280
+    assert res.kernel_dimension() == 0 and lam[0] > 0
+    assert np.all(np.diff(lam) >= 0) and res.residual_bound <= 1e-12
+
+
+@pytest.mark.parametrize("extension", spec.EXTENSIONS)
+def test_sliced_eigenvalues_match_the_dense_pencil(extension, g2_h05,
+                                                   g2_h05_periods):
+    mesh, _, lift = g2_h05
+    pd, char = g2_h05_periods
+    op = spec.assemble_operator(mesh, lift, extension, periods=pd, char=char)
+    res = spec.eigenvalues(op, 200)
+    ref = oracles.dense_pencil_eigenvalues(op.stiffness, op.mass, 260)
+    used = _used(res)
+    assert len(used) == 2 and used[1]["sigma"] > used[0]["sigma"]
+    assert res.krylov_dim == sum(s["steps"] for s in res.slices)
+    assert res.reorthogonalized == sum(s["reorthogonalized"]
+                                       for s in res.slices)
+    # the union certificate: the count below the top of the second slice
+    # is the dense count there, and no fewer than N
+    top = res.inertia["sigma"] + res.inertia["d"]
+    assert res.inertia["count"] == np.count_nonzero(ref < top) >= 200
+    kernel = ref[:200] <= 1e-8 * ref[:200].max()
+    assert res.kernel_dimension() == kernel.sum()
+    lam, ref = res.eigenvalues[~kernel], ref[:200][~kernel]
+    assert np.max(np.abs(lam - ref) / ref) <= 1e-11
+    assert res.residual_bound <= 1e-12
+
+
+@pytest.mark.parametrize("extension", ["friedrichs", "szego"])
+def test_sliced_eigenvectors_are_mass_orthonormal(extension, g2_h05):
+    # the Ritz vectors of both slices go through one Rayleigh-Ritz pass
+    mesh, _, lift = g2_h05
+    op = spec.assemble_operator(mesh, lift, extension)
+    plain = spec.eigenvalues(op, 200)
+    res = spec.eigenvalues(op, 200, vectors=True)
+    assert len(_used(res)) == 2
+    X, lam = res.vectors, res.eigenvalues
+    assert np.max(np.abs(lam - plain.eigenvalues) / lam) <= 1e-12
+    MX = op.mass @ X
+    assert np.max(np.abs(X.conj().T @ MX - np.eye(200))) <= 1e-12
+    resid = np.linalg.norm(op.stiffness @ X - MX * lam, axis=0)
+    assert np.all(resid <= 1e-10 * lam * np.linalg.norm(MX, axis=0))
+
+
+# the torus-oracle shape of seed 1: its eigenvalues come in pairs split by
+# little, and the first slice misses copies of some
+_SEED1_B = -0.005910777931821048 + 0.9999825311995408j
+
+
+@pytest.fixture(scope="module")
+def torus_pencils():
+    ops = {}
+    for name, B in (("square", 1j), ("seed1", _SEED1_B)):
+        s = sf.build_surface(sf.ModuliPoint(genus=1, A=[1.0], B=[B]))
+        mesh = sf.generate_mesh(s, h=0.028)
+        spin = [x for x in hs.enumerate_spin_structures(1)
+                if x.sigma_a == (-1,) and x.sigma_b == (-1,)][0]
+        ops[name] = spec.assemble_operator(
+            mesh, hs.build_sign_lift(mesh, spin), "friedrichs")
+    return ops
+
+
+@pytest.mark.parametrize("name", ["square", "seed1"])
+def test_sliced_torus_eigenvalues_match_the_dense_pencil(name, torus_pencils,
+                                                         monkeypatch):
+    op = torus_pencils[name]
+    calls = _counting(monkeypatch, lambda call: 0)
+    res = spec.eigenvalues(op, 180)
+    ref = oracles.dense_pencil_eigenvalues(op.stiffness, op.mass, 240)
+    assert np.max(np.abs(res.eigenvalues - ref[:180]) / ref[:180]) <= 1e-11
+    top = res.inertia["sigma"] + res.inertia["d"]
+    assert res.inertia["count"] == np.count_nonzero(ref < top) >= 180
+    used = _used(res)
+    assert len(used) == 2 and calls[0] == res.inertia["count"]
+    if name == "seed1":
+        # the first slice finds 91 eigenvalues below its top, where the
+        # pencil has 92: it holds 3 of the 4 close copies of 321.282.  The
+        # second slice reaches below that top and holds all 4, so the top
+        # moves below them, and the union count passes without a restart
+        assert len(calls) == 1
+        assert used[0]["restarts"] == used[1]["restarts"] == 0
+    else:
+        # eigenvalues of multiplicity 4 and 8, where both slices miss
+        # copies: the count at the first top finds the first slice short,
+        # and it restarts
+        assert len(calls) == 2 and calls[1] < calls[0]
+        assert used[0]["restarts"] >= 1
+
+
+def test_a_moved_top_counts_no_eigenvalue_twice():
+    # both slices found 3 (to 1e-13); the second also found the copy
+    # 3 + 1e-4 that the first missed
+    lower = np.array([1.0, 2.0, 3.0 - 1e-13])
+    upper = np.array([3.0 + 1e-13, 3.0001, 4.0, 5.0])
+    tops = spec._moved_tops([lower, upper], [3.5, 6.0])
+    owned = spec._owned([lower, upper], tops)
+    # the top moves into the gap between the two copies
+    assert 3.0 < tops[0] < 3.0001 and tops[1] == 6.0
+    assert [len(p) for p in owned] == [3, 3]
+    # without the copy, no top between the two values of 3 beats 3.5
+    tops = spec._moved_tops([lower, upper[[0, 2, 3]]], [3.5, 6.0])
+    assert tops == [3.5, 6.0]
+
+
+def test_a_missed_copy_is_not_returned(torus_pencils, monkeypatch):
+    # the square torus with the restart taken out: the union count sees the
+    # copies both slices missed
+    monkeypatch.setattr(spec._Slice, "restart", lambda self, d, grow=0: False)
+    with pytest.raises(spec.SolverError, match="the slices found no more"):
+        spec.eigenvalues(torus_pencils["square"], 180)
+
+
+def _narrow_second_slice(monkeypatch):
+    """Patch the first placement of an interior slice to ask for a third of
+    its pairs at the same shift: its window no longer reaches down to the top
+    of the first slice."""
+    real, placed = spec._next_shift, []
+
+    def next_shift(lam, top, want):
+        shift, pairs = real(lam, top, want)
+        placed.append(shift)
+        return shift, pairs // 3 if len(placed) == 1 else pairs
+    monkeypatch.setattr(spec, "_next_shift", next_shift)
+
+
+def test_a_gap_between_the_slices_restarts_the_second_one(g2_h05,
+                                                          monkeypatch):
+    mesh, _, lift = g2_h05
+    op = spec.assemble_operator(mesh, lift, "friedrichs")
+    _narrow_second_slice(monkeypatch)
+    res = spec.eigenvalues(op, 200)
+    assert any(s["restarts"] for s in _used(res)[1:])
+    ref = oracles.dense_pencil_eigenvalues(op.stiffness, op.mass, 200)
+    assert np.max(np.abs(res.eigenvalues - ref) / ref) <= 1e-11
+
+
+def test_a_gap_between_the_slices_is_not_returned(g2_h05, monkeypatch):
+    mesh, _, lift = g2_h05
+    op = spec.assemble_operator(mesh, lift, "friedrichs")
+    _narrow_second_slice(monkeypatch)
+    monkeypatch.setattr(spec._Slice, "restart", lambda self, d, grow=0: False)
+    with pytest.raises(spec.SolverError, match="the slices found no more"):
+        spec.eigenvalues(op, 200)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e-9])
+def test_an_interior_shift_on_an_eigenvalue_is_moved(offset, g2_h05,
+                                                     monkeypatch):
+    # placed on an eigenvalue, the second slice is dropped and run again
+    # midway between the two eigenvalues it found around its shift
+    mesh, _, lift = g2_h05
+    op = spec.assemble_operator(mesh, lift, "friedrichs")
+    ref = oracles.dense_pencil_eigenvalues(op.stiffness, op.mass, 260)
+    real = spec._next_shift
+
+    def next_shift(lam, top, want):
+        shift, pairs = real(lam, top, want)
+        return ref[np.argmin(np.abs(ref - shift))] * (1.0 + offset), pairs
+    monkeypatch.setattr(spec, "_next_shift", next_shift)
+    res = spec.eigenvalues(op, 200)
+    dropped = [s for s in res.slices if not s["used"]]
+    assert len(dropped) == 1
+    gap = np.min(np.abs(ref - dropped[0]["sigma"])) / dropped[0]["sigma"]
+    assert gap <= 2e-9
+    moved = _used(res)[1]["sigma"]
+    assert np.min(np.abs(ref - moved)) > 1e-6 * moved
+    assert np.max(np.abs(res.eigenvalues - ref[:200]) / ref[:200]) <= 1e-11
+
+
+def test_only_large_requests_are_sliced(g2_h05):
+    mesh, _, lift = g2_h05
+    op = spec.assemble_operator(mesh, lift, "friedrichs")
+    assert op.n_dofs // 4 > spec._SLICE_MIN
+    assert len(spec.eigenvalues(op, spec._SLICE_MIN).slices) == 1
+    assert len(spec.eigenvalues(op, spec._SLICE_MIN + 1).slices) == 2
+    # an explicit shift keeps one run, and so does a request above n / 4
+    sigma = 0.5 * spec.eigenvalues(op, 2).eigenvalues.sum()
+    assert len(spec.eigenvalues(op, 150, sigma=sigma).slices) == 1
+    s = sf.build_surface(sf.ModuliPoint(genus=1, A=[1.0], B=[1j]))
+    mesh = sf.generate_mesh(s, h=0.07)
+    spin = hs.enumerate_spin_structures(1)[-1]
+    op = spec.assemble_operator(mesh, hs.build_sign_lift(mesh, spin),
+                                "friedrichs")
+    assert op.n_dofs // 4 < 150 <= op.n_dofs
+    assert len(spec.eigenvalues(op, 150).slices) == 1
+
+
+# lambda_1..24 of the g2_h05 Friedrichs and Szego pencils from the one-run
+# solver before slicing (and the midpoint counts) came in, as float.hex()
+_ONE_RUN_24 = {
+    "friedrichs": [
+        "0x1.719cffa4ea563p-2", "0x1.f44e42e73d31cp-1", "0x1.3409cd0f9edf7p+1",
+        "0x1.c7c9a8ec6db9bp+1", "0x1.248d743ab1422p+3", "0x1.2f35aae8e5336p+3",
+        "0x1.3fbeccc562d2bp+3", "0x1.413220af5b6b2p+3", "0x1.4ad299a96adaap+3",
+        "0x1.61baac9a304b5p+3", "0x1.62dbd998f1b2fp+3", "0x1.87ec24dbc3980p+3",
+        "0x1.8f14d41fc0664p+3", "0x1.af8e3ddb33d20p+3", "0x1.b99aa5f90a774p+3",
+        "0x1.cd03edf0e36e9p+3", "0x1.2da53d618855dp+4", "0x1.30efe9ad0a619p+4",
+        "0x1.40a6247717067p+4", "0x1.41a2d6bd220bdp+4", "0x1.555d80093cf60p+4",
+        "0x1.5a1d0a5d558dbp+4", "0x1.5a857952b396bp+4", "0x1.6ffd5397139bfp+4"],
+    "szego": [
+        "0x1.02c53374d14aep-3", "0x1.ffd776fd19ae2p-3", "0x1.3169994b9c017p+1",
+        "0x1.4f444dc607a26p+1", "0x1.fb9dda12c23dbp+2", "0x1.01eb8c5b9783ap+3",
+        "0x1.3bace714b46a9p+3", "0x1.3c4a914975abbp+3", "0x1.45344cada21fcp+3",
+        "0x1.478a68e2ee273p+3", "0x1.6177f24c25d3bp+3", "0x1.6290aef3ee326p+3",
+        "0x1.8eb6e6b502e21p+3", "0x1.900aebe7e0638p+3", "0x1.ad95703c54562p+3",
+        "0x1.b5eb1be058b77p+3", "0x1.21e00922afddep+4", "0x1.226d3d873feb7p+4",
+        "0x1.3d79e0ef64d78p+4", "0x1.3e825c8017c6bp+4", "0x1.495657078e01dp+4",
+        "0x1.4b83dc55f9ac6p+4", "0x1.561f26cb71fc0p+4", "0x1.5a45e0d4a0a4cp+4"],
+}
+
+
+@pytest.mark.parametrize("extension", ["friedrichs", "szego"])
+def test_a_request_below_the_slicing_size_is_bit_identical(extension, g2_h05):
+    # one slice is the one-run solver unchanged: the midpoint count moves
+    # no restart decision here, so not a bit of an eigenvalue moves either
+    mesh, _, lift = g2_h05
+    op = spec.assemble_operator(mesh, lift, extension)
+    res = spec.eigenvalues(op, 24)
+    assert len(res.slices) == 1 and res.slices[0]["restarts"] == 0
+    expected = np.array([float.fromhex(x) for x in _ONE_RUN_24[extension]])
+    assert np.array_equal(res.eigenvalues, expected)
+
+
 def test_torus_spectrum_oracle(torus_setup):
     _, _, _, op = torus_setup
     res = spec.eigenvalues(op, 24)
