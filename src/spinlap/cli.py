@@ -218,6 +218,7 @@ def cmd_spectrum(args):
     payload["residual_bound"] = res.residual_bound
     payload["inertia"] = res.inertia
     payload["slices"] = res.slices
+    payload["basis_rows"] = res.basis_rows
     heat = []
     if args.extension in ("friedrichs", "szego"):
         lam = res.positive()

@@ -416,8 +416,11 @@ class SpectralResult:
                                        # `count` eigenvalues in (sigma - d,
                                        # sigma + d), by Sylvester inertia
     slices: list = None                # one {sigma, pairs, steps,
-                                       # reorthogonalized, restarts, used}
-                                       # per Lanczos shift, in run order
+                                       # reorthogonalized, restarts, rows,
+                                       # released, used} per Lanczos shift,
+                                       # in run order
+    basis_rows: int = None             # the most Lanczos basis rows (of
+                                       # n_dofs entries) held at once
 
     def positive(self):
         """Eigenvalues with the numerical kernel removed."""
@@ -438,11 +441,14 @@ def eigenvalues(op: DiscreteOperator, N: int, vectors=False, sigma=None):
     the eigenvalues their Rayleigh quotients.
     At the default shift, a request of more than _SLICE_MIN pairs and at most
     a quarter of n_dofs is solved in spectrum slices (_sliced_lanczos); the
-    result's `slices` records the shift and the Lanczos steps of each.
+    result's `slices` records the shift and the Lanczos steps of each, and
+    `basis_rows` the most Lanczos vectors held at once.
     The result's `inertia` certifies that no eigenvalue within d of sigma
     was missed.  Raises EigenCountError when N is not a positive integer,
-    SolverError when sigma is an eigenvalue (A - sigma M singular) or the
-    certificate fails."""
+    SolverError when sigma is an eigenvalue (A - sigma M singular; at the
+    bottom of the spectrum also singular to rounding, as at the default
+    shift 0.0 of a Friedrichs pencil with the constants in its kernel) or
+    the certificate fails."""
     from .surface import flat_area
     if isinstance(N, bool) or not isinstance(N, numbers.Integral) or N < 1:
         raise EigenCountError(f"N = {N!r}: the number of eigenpairs must be "
@@ -457,8 +463,8 @@ def eigenvalues(op: DiscreteOperator, N: int, vectors=False, sigma=None):
         if _SLICE_MIN < N <= ndof // 4:
             solver = _sliced_lanczos
     v0 = np.ones(ndof) + 0.5 * np.cos(np.arange(ndof))   # deterministic start
-    lam, vec, bound, inertia, slices = solver(op.stiffness, op.mass, N, sigma,
-                                              v0, vectors)
+    lam, vec, bound, inertia, slices, rows = solver(op.stiffness, op.mass, N,
+                                                    sigma, v0, vectors)
     vec = vec.T if vectors else None
     lam = np.where(np.abs(lam) < 1e-13, 0.0, lam)
     return SpectralResult(extension=op.extension, h=op.mesh.h,
@@ -469,7 +475,7 @@ def eigenvalues(op: DiscreteOperator, N: int, vectors=False, sigma=None):
                           reorthogonalized=sum(s["reorthogonalized"]
                                                for s in slices),
                           residual_bound=bound, inertia=inertia,
-                          slices=slices)
+                          slices=slices, basis_rows=rows)
 
 
 _RITZ_TOL = 1e-12                # relative Ritz bound of converged pairs
@@ -492,21 +498,39 @@ def _factor(A, M, tau):
     pivots only: for a Hermitian A - tau M that is P (A - tau M) P^T =
     L D L^H with D = diag(U), and by Sylvester's law of inertia the negative
     entries of D count the eigenvalues of the pencil below tau (M positive
-    definite).  Raises SolverError on a singular factor, an off-diagonal
-    pivot or a D that is not real.  Returns (SuperLU object, count)."""
+    definite).  Raises SolverError on a singular factor (with no negative
+    pivot, also one singular to rounding), an off-diagonal pivot or a D
+    that is not real.  Returns (SuperLU object, count)."""
+    B = (A - tau * M).tocsc()
     try:
-        lu = spla.splu((A - tau * M).tocsc(), permc_spec="MMD_AT_PLUS_A",
-                       diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        lu = spla.splu(B, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
     except RuntimeError as exc:        # "Factor is exactly singular"
         raise SolverError(f"A - {tau} M is singular: {exc}") from exc
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise SolverError(f"A - {tau} M needed an off-diagonal pivot")
     d = lu.U.diagonal()
-    # rounding scale of pivot i: sum_j |L_ij| |U_ji|, which grows with the
-    # pivots' growth near an eigenvalue
-    if np.iscomplexobj(d) and np.any(np.abs(d.imag) > 1e-8 * np.asarray(
-            abs(lu.L).multiply(abs(lu.U).T).sum(axis=1)).ravel()):
-        raise SolverError(f"A - {tau} M has a non-real pivot: not Hermitian")
+    # with no negative pivot, sum_j |L_ij|^2 d_j = B_pp is the rounding
+    # scale of pivot i (as for Cholesky, |dB| <= gamma_n+1 |L| |D| |L^H|;
+    # Higham, Accuracy and Stability of Numerical Algorithms, ch. 10), so a
+    # pivot within (n + 1) eps B_pp of zero is zero to rounding.  Inside the
+    # spectrum the pivots grow and B_pp is no such scale: those shifts are
+    # not judged by it
+    diag = np.empty(len(d))
+    diag[lu.perm_r] = np.abs(B.diagonal())
+    tol = (len(d) + 1) * _EPS * diag
+    if np.all(d.real >= -tol) and np.any(np.abs(d) <= tol):
+        raise SolverError(f"A - {tau} M is singular to rounding: {tau} is an "
+                          f"eigenvalue of the pencil")
+    if np.iscomplexobj(d):
+        # the rounding scale of pivot i, sum_j |L_ij| |U_ji|, grows with the
+        # pivots near an eigenvalue.  It is at least |d_i| (L has a unit
+        # diagonal), so it is built only when a pivot fails against that
+        im = np.abs(d.imag)
+        if np.any(im > 1e-8 * np.abs(d)) and np.any(im > 1e-8 * np.asarray(
+                abs(lu.L).multiply(abs(lu.U).T).sum(axis=1)).ravel()):
+            raise SolverError(f"A - {tau} M has a non-real pivot: not "
+                              f"Hermitian")
     return lu, int(np.count_nonzero(d.real < 0))
 
 
@@ -541,7 +565,9 @@ class _Slice:
 
     `found` holds theta = 1 / (lambda - sigma) of the pairs found: the
     locked ones, then the last run's converged ones; `th`, `rel` and `conv`
-    are that run's Ritz values, relative Ritz bounds and converged mask."""
+    are that run's Ritz values, relative Ritz bounds and converged mask.
+    `rows` is the most basis rows written (the locked and the run's), and
+    `released` tells that release() dropped the basis at some point."""
 
     def __init__(self, A, M, N, sigma, v0):
         self.A, self.M, self.N, self.sigma = A, M, N, sigma
@@ -554,10 +580,26 @@ class _Slice:
         # about 2.5 N steps; a larger one grows the block by `chunk` rows,
         # which copies it
         self.chunk = max(N // 2, 32)
-        self.basis = _unpaged_rows(min(n, 3 * N + self.chunk), n, self.dtype)
+        self.v0, self.released = v0, False
         self.theta = self.bound = np.empty(0)        # of the locked pairs
-        self.k = self.steps = self.full_steps = self.restarts = 0
-        self._run(np.asarray(v0, dtype=self.dtype))
+        self.k = self.steps = self.full_steps = self.restarts = self.rows = 0
+        self._first_run()
+
+    def _first_run(self):
+        """A new basis and the run from the start vector: the slice's first
+        run, or its replay after release()."""
+        self.basis = _unpaged_rows(min(self.n, 3 * self.N + self.chunk),
+                                   self.n, self.dtype)
+        self._run(np.asarray(self.v0, dtype=self.dtype))
+
+    def release(self):
+        """Drop the basis and the Ritz coefficients s of a slice that has
+        locked nothing (one that has keeps them): its pairs (found, th, rel,
+        conv, bound) and its window stay, and restart() replays its one run
+        first."""
+        if not self.k:
+            self.basis = self.s = None
+            self.released = True
 
     def _run(self, w):
         """One Lanczos run from w, until its wanted pairs converge."""
@@ -640,6 +682,7 @@ class _Slice:
                 check = min(size, m + max(1, N // 8))
         self.steps += m
         self.full_steps += full_steps
+        self.rows = max(self.rows, k + m)
         self.m, self.th, self.s, self.rel = m, th, s, rel
         self.conv = rel <= _RITZ_TOL
         if self.below:
@@ -680,6 +723,10 @@ class _Slice:
         `grow` more pairs, from a fixed random vector on the operator
         deflated by them.  False, with nothing run, when there is no pair to
         lock or nothing left to search."""
+        if self.basis is None:
+            # released: the first run again, from the same shift, factor and
+            # start vector, builds the same Krylov space and the same pairs
+            self._first_run()
         keep = self.conv & (np.abs(self.th) * d > 1.0)
         if not keep.any() or self.k + np.count_nonzero(keep) == self.n:
             return False
@@ -721,7 +768,8 @@ class _Slice:
     def record(self, used=True):
         return {"sigma": float(self.sigma), "pairs": self.N,
                 "steps": self.steps, "reorthogonalized": self.full_steps,
-                "restarts": self.restarts, "used": used}
+                "restarts": self.restarts, "rows": self.rows,
+                "released": self.released, "used": used}
 
 
 def _shift_invert_lanczos(A, M, N, sigma, v0, vectors):
@@ -785,7 +833,7 @@ def _shift_invert_lanczos(A, M, N, sigma, v0, vectors):
 
     Returns (lambda in ascending order, M-orthonormal eigenvectors as rows
     if `vectors` else None, largest relative Ritz bound, inertia count as a
-    dict of sigma, d and count, [the slice's record])."""
+    dict of sigma, d and count, [the slice's record], basis rows held)."""
     sl = _Slice(A, M, N, sigma, v0)
     while True:
         d, inside = sl.window()
@@ -807,7 +855,7 @@ def _shift_invert_lanczos(A, M, N, sigma, v0, vectors):
     lam, X = _rayleigh_ritz(A, M, lam, X)
     return (lam, X, float(bound.max()),
             {"sigma": float(sigma), "d": float(d), "count": count},
-            [sl.record()])
+            [sl.record()], sl.rows)
 
 
 def _sliced_lanczos(A, M, N, sigma, v0, vectors):
@@ -838,27 +886,44 @@ def _sliced_lanczos(A, M, N, sigma, v0, vectors):
     vectors for their Ritz values (_Slice._run): its own carry the rounding
     of solves with a grown LDL^H, too much to decide by them on which side
     of a top a copy of a multiple eigenvalue lies.
+    Without `vectors`, a new slice first releases the basis of each earlier
+    one that has locked nothing (_Slice.release): the result and the
+    certificate read only their pairs, so a solve without a restart holds
+    one basis at a time, about 1.3 N rows where two held 2.5 N (ARPACK
+    holds 2N + 1).  A released slice that must restart (the square torus)
+    first replays its run from the same shift, factor and start vector, and
+    so rebuilds the same Krylov space; then two bases are held.
 
     Returns what _shift_invert_lanczos returns, with inertia (sigma, d,
-    count) = (sigma, last top - sigma, count below the last top) and one
-    record per slice run."""
+    count) = (sigma, last top - sigma, count below the last top), one
+    record per slice run and the most basis rows held at once."""
     slices = [_Slice(A, M, N // 2, sigma, v0)]
     tops = [sigma + slices[0].window()[0]]
     ran, counts = list(slices), {}     # counts[i]: eigenvalues below tops[i]
+    peak = slices[0].rows              # the most basis rows held at once
 
     def count(i):
         if i not in counts:
             counts[i] = _count_below(A, M, tops[i])
         return counts[i]
 
+    def held():
+        return sum(sl.rows for sl in slices if sl.basis is not None)
+
     while True:
         values = [sl.found_values() for sl in slices]
         parts = _owned(values, tops)
         have = sum(map(len, parts))
         if have < N:
+            if not vectors:
+                for sl in slices:
+                    sl.release()
             union = np.sort(np.concatenate(
                 [v[p] for v, p in zip(values, parts)]))
             sl, dropped = _interior_slice(A, M, union, tops[-1], N - have, v0)
+            # a dropped run's basis goes before the next one starts
+            peak = max(peak, held() + max([sl.rows] + [r["rows"]
+                                                       for r in dropped]))
             ran += dropped + [sl]
             slices.append(sl)
             tops.append(sl.sigma + sl.window()[0])
@@ -892,6 +957,7 @@ def _sliced_lanczos(A, M, N, sigma, v0, vectors):
             raise SolverError(f"the pencil has {count(i)} eigenvalues below "
                               f"{tops[i]:.6g}, the slices found no more "
                               f"than {below}")
+        peak = max(peak, held())
     records = [x if isinstance(x, dict) else x.record() for x in ran]
     del ran
     lam, bound, X = [], [], []
@@ -906,7 +972,7 @@ def _sliced_lanczos(A, M, N, sigma, v0, vectors):
                             np.concatenate(X) if vectors else None)
     return (lam, X, float(np.concatenate(bound).max()),
             {"sigma": float(sigma), "d": float(tops[-1] - sigma),
-             "count": total}, records)
+             "count": total}, records, peak)
 
 
 def _owned(values, tops):

@@ -101,6 +101,10 @@ def test_spectrum_command_writes_the_slices(g2_moduli_file, tmp_path):
     used = [s for s in d["slices"] if s["used"]]
     assert len(used) == 2 and used[0]["sigma"] == d["inertia"]["sigma"]
     assert sum(s["steps"] for s in d["slices"]) == d["krylov_dim"]
+    # the first slice's basis goes before the second one starts
+    assert used[0]["released"]
+    assert d["basis_rows"] == max(s["rows"] for s in used)
+    assert d["basis_rows"] < sum(s["steps"] for s in used)
 
 
 @pytest.mark.parametrize("token", ["even:7", "abc", "-1"])

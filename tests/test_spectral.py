@@ -1,6 +1,7 @@
 """Spectral module tests: assembly invariants, torus oracles, extensions."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -423,6 +424,34 @@ def test_singular_shift_raises_solver_error(g2_h05, g2_h05_periods):
         spec.eigenvalues(op, 4, sigma=0.0)
 
 
+@pytest.mark.parametrize("N", [20, 180])
+def test_a_default_shift_on_an_eigenvalue_raises_solver_error(N):
+    # the square torus with the trivial spin (+,+): its Friedrichs pencil
+    # has the constants as kernel, so the default shift 0.0 is an
+    # eigenvalue.  Its LDL^T has a pivot of rounding size, 5e-15 of its
+    # diagonal entry; solves against it gave non-finite Lanczos coefficients
+    # (a bare ValueError from eigh_tridiagonal at N = 180) or a count of 21
+    # eigenvalues for 20 pairs found
+    s = sf.build_surface(sf.ModuliPoint(genus=1, A=[1.0], B=[1j]))
+    mesh = sf.generate_mesh(s, h=0.04)
+    spin = [x for x in hs.enumerate_spin_structures(1)
+            if x.sigma_a == (1,) and x.sigma_b == (1,)][0]
+    op = spec.assemble_operator(mesh, hs.build_sign_lift(mesh, spin),
+                                "friedrichs")
+    with pytest.raises(spec.SolverError, match="0.0 is an eigenvalue"):
+        spec.eigenvalues(op, N)
+
+
+def test_a_non_hermitian_pencil_has_non_real_pivots(g2_h05):
+    # a skew-Hermitian part of 1e-6 gives the Szego pencil's pivots
+    # imaginary parts far above the 1e-8 (relative) that rounding leaves
+    mesh, _, lift = g2_h05
+    op = spec.assemble_operator(mesh, lift, "szego")
+    spec._factor(op.stiffness, op.mass, -0.05)
+    with pytest.raises(spec.SolverError, match="non-real pivot"):
+        spec._factor(op.stiffness * (1.0 + 1e-6j), op.mass, -0.05)
+
+
 # -- spectrum slices: N > spec._SLICE_MIN and N <= n_dofs / 4 at the default
 # shift
 
@@ -493,6 +522,9 @@ def test_sliced_eigenvectors_are_mass_orthonormal(extension, g2_h05):
     plain = spec.eigenvalues(op, 200)
     res = spec.eigenvalues(op, 200, vectors=True)
     assert len(_used(res)) == 2
+    # the vectors of the first slice are read after the second one ran
+    assert _used(plain)[0]["released"]
+    assert not any(s["released"] for s in res.slices)
     X, lam = res.vectors, res.eigenvalues
     assert np.max(np.abs(lam - plain.eigenvalues) / lam) <= 1e-12
     MX = op.mass @ X
@@ -519,11 +551,39 @@ def torus_pencils():
     return ops
 
 
+@pytest.mark.parametrize("extension", ["friedrichs", "szego"])
+def test_a_sliced_solve_holds_one_basis_at_a_time(extension, g2_h05,
+                                                  monkeypatch):
+    # without vectors, the first slice's basis is released before the
+    # second slice starts: 259 rows at most, where both held 507
+    mesh, _, lift = g2_h05
+    op = spec.assemble_operator(mesh, lift, extension)
+    rows, live, held = spec._unpaged_rows, set(), []
+
+    def unpaged_rows(*args):
+        held.append(len(live))           # bases alive when this one starts
+        buf = rows(*args)
+        live.add(len(held))
+        weakref.finalize(buf, live.discard, len(held))
+        return buf
+    monkeypatch.setattr(spec, "_unpaged_rows", unpaged_rows)
+    res = spec.eigenvalues(op, 200)
+    used = _used(res)
+    assert len(used) == len(held) == 2 and held == [0, 0] and not live
+    assert used[0]["released"] and not used[1]["released"]
+    assert [s["rows"] for s in used] == [s["steps"] for s in used]
+    assert res.basis_rows == max(s["rows"] for s in used)
+    assert res.basis_rows < sum(s["steps"] for s in used)
+
+
 @pytest.mark.parametrize("name", ["square", "seed1"])
 def test_sliced_torus_eigenvalues_match_the_dense_pencil(name, torus_pencils,
                                                          monkeypatch):
     op = torus_pencils[name]
     calls = _counting(monkeypatch, lambda call: 0)
+    first_run, runs = spec._Slice._first_run, []
+    monkeypatch.setattr(spec._Slice, "_first_run",
+                        lambda sl: runs.append(sl.sigma) or first_run(sl))
     res = spec.eigenvalues(op, 180)
     ref = oracles.dense_pencil_eigenvalues(op.stiffness, op.mass, 240)
     assert np.max(np.abs(res.eigenvalues - ref[:180]) / ref[:180]) <= 1e-11
@@ -538,12 +598,15 @@ def test_sliced_torus_eigenvalues_match_the_dense_pencil(name, torus_pencils,
         # moves below them, and the union count passes without a restart
         assert len(calls) == 1
         assert used[0]["restarts"] == used[1]["restarts"] == 0
+        assert runs == [s["sigma"] for s in used]
     else:
         # eigenvalues of multiplicity 4 and 8, where both slices miss
         # copies: the count at the first top finds the first slice short,
-        # and it restarts
+        # and it restarts.  Its basis went when the second slice started,
+        # so it first replays its run
         assert len(calls) == 2 and calls[1] < calls[0]
-        assert used[0]["restarts"] >= 1
+        assert used[0]["restarts"] >= 1 and used[0]["released"]
+        assert runs == [used[0]["sigma"], used[1]["sigma"], used[0]["sigma"]]
 
 
 def test_a_moved_top_counts_no_eigenvalue_twice():
