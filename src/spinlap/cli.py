@@ -367,6 +367,10 @@ def main(argv=None):
         return args.func(args)
     except UsageError as exc:
         parser.error(str(exc))          # exits with status 2
+    except SpinlapError as exc:
+        print(f"{parser.prog}: error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

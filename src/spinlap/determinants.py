@@ -152,7 +152,7 @@ def t_matrix_zero(surface, periods, char, delta=None, n_rad=24, n_ang=64,
     if delta is None:
         delta = th.odd_characteristics(g)[0]
     t0_theta = periods.theta0(char)
-    if abs(t0_theta) < 1e-10:
+    if abs(t0_theta) < th.THETA0_TOL:
         raise th.DegenerateSpinError(f"theta{char.label()}(0) ~ 0")
 
     deltas = [delta]

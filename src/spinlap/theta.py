@@ -46,6 +46,7 @@ import numpy as np
 from .errors import SpinlapError
 
 TWO_PI_I = 2j * math.pi
+THETA0_TOL = 1e-10      # |theta[p,q](0)| below this is a vanishing theta
 
 
 class ThetaDomainError(SpinlapError, ValueError):
@@ -307,7 +308,7 @@ def prime_form(periods, x, y, delta=None):
     return num / (periods.h_delta(delta, x) * periods.h_delta(delta, y))
 
 
-def szego_kernel(char, periods, z, zp, delta=None, theta0_tol=1e-10):
+def szego_kernel(char, periods, z, zp, delta=None):
     """Szego kernel S(z, z') for an even characteristic with theta(0) != 0.
 
     S(z, z') = theta[p,q](A(z') - A(z)) / (theta[p,q](0) E(z', z)); it is
@@ -316,7 +317,7 @@ def szego_kernel(char, periods, z, zp, delta=None, theta0_tol=1e-10):
     if not char.is_even:
         raise ValueError("Szego kernel requires an even characteristic")
     t0 = periods.theta0(char)
-    if abs(t0) < theta0_tol:
+    if abs(t0) < THETA0_TOL:
         raise DegenerateSpinError(f"theta{char.label()}(0) ~ 0")
     w = periods.abel(zp) - periods.abel(z)
     num = theta(char, w, periods.b_matrix)

@@ -121,6 +121,18 @@ def test_spin_outside_its_range_is_a_usage_error(token, g1_moduli_file,
     assert not (tmp_path / "spectrum.json").exists()
 
 
+def test_a_solver_error_is_one_line(g1_moduli_file, tmp_path, capsys):
+    # the square torus with the trivial spin (+,+): the default shift 0.0 of
+    # its Friedrichs pencil is an eigenvalue (the constants)
+    rc = cli.main(["spectrum", "--moduli", g1_moduli_file, "--spin", "0",
+                   "--h", "0.05", "--num-eigs", "20", "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("spinlap: error: SolverError: ")
+    assert "0.0 is an eigenvalue" in err and err.count("\n") == 1
+    assert not (tmp_path / "spectrum.json").exists()
+
+
 @pytest.mark.parametrize("command", ["spectrum", "determinants"])
 @pytest.mark.parametrize("value", ["0", "-2", "1.5"])
 def test_num_eigs_below_one_is_a_usage_error(command, value, g1_moduli_file,
