@@ -93,8 +93,7 @@ def _quadrature_nodes(periods, n_rad, n_ang):
     # ---- bulk triangles
     bulk = _bulk_triangles(mesh)
     pos = mesh.tri_pos[bulk]                                 # (T, 3)
-    areas = 0.5 * np.abs((np.conj(pos[:, 1] - pos[:, 0])
-                          * (pos[:, 2] - pos[:, 0])).imag)
+    areas = mesh.signed_areas()[bulk]
     zq = np.einsum("qc,tc->tq", _QB, pos)                    # (T, 7)
     # Abel map by per-triangle linear model
     a0 = periods.abel_vertex[:, mesh.triangles[bulk, 0]].T   # (T, g)
@@ -140,7 +139,7 @@ def t_matrix_zero(surface, periods, char, delta=None, n_rad=24, n_ang=64,
     is added into the raw Gram matrices of both.  The estimate is not a
     bound: where one reference characteristic resolves the prime form poorly
     it can exceed the entries of T(0) (6.56 for [00|00] and 14.8 for
-    [10|01] on the h = 0.04 mesh of the g = 2 test point; ROADMAP item 4(a))."""
+    [10|01] on the h = 0.04 mesh of the g = 2 test point; ROADMAP item 6(a))."""
     mesh = periods.mesh
     g = periods.genus
     ncone = len(mesh.cone_patches)
@@ -198,51 +197,40 @@ def t_matrix_zero(surface, periods, char, delta=None, n_rad=24, n_ang=64,
 def s_gram_direct(periods, char, delta=None, n_rad=20, n_ang=40):
     """The full Gram (S(P_i,.), S(P_j,.))_{L2} by an independent route:
     vertex-rule over the bulk with the sign-carrying kernel fields, polar rule
-    with the pointwise szego_kernel evaluator inside the patches.
+    with the pointwise h_delta branches of szego_kernel inside the patches.
 
-    Unlike t_matrix_zero this goes through the per-point kernel values with
-    the tree-gauge h_delta branch, so it exercises a different assembly path;
-    used for the diagonal cross-check and the Bergman projection test.  The
-    bulk fields are the raw theta-route values, whose vertex products need no
-    FEM gauge."""
-    from .spectral import szego_section_raw
+    Unlike t_matrix_zero this goes through the kernel values themselves, with
+    the tree-gauge h_delta branch at the vertices, so it exercises a different
+    assembly path; used for the diagonal cross-check and the Bergman
+    projection test.  The bulk fields are the raw theta-route values, whose
+    vertex products f_i conj(f_j) need no FEM gauge."""
     mesh = periods.mesh
-    g = periods.genus
-    ncone = len(mesh.cone_patches)
     if delta is None:
-        delta = th.odd_characteristics(g)[0]
-    # the raw (ungauged) fields: f_i conj(f_j) at one vertex is gauge-free
-    f = np.stack([szego_section_raw(periods, char, k, delta)
-                  for k in range(ncone)], axis=1)                # (nv, ncone)
+        delta = th.odd_characteristics(periods.genus)[0]
+    poles = [("cone", k, 0.0) for k in range(len(mesh.cone_patches))]
+
+    def fields(pts):
+        return np.stack([th.szego_kernel(char, periods, p, pts, delta)
+                         for p in poles])                        # (ncone, M)
+
+    f = fields(np.arange(mesh.n_vertices)).T                     # (nv, ncone)
     bulk = _bulk_triangles(mesh)
-    area = np.abs(mesh.signed_areas()[bulk])
     fb = f[mesh.triangles[bulk]]                                 # (T, 3, ncone)
-    gram = np.einsum("t,tci,tcj->ij", area / 3.0, fb, np.conj(fb))
+    gram = np.einsum("t,tci,tcj->ij", mesh.signed_areas()[bulk] / 3.0, fb,
+                     np.conj(fb))
     # patches: polar rule with measure |x| dLeb in the distinguished chart
     xg, wg = np.polynomial.legendre.leggauss(n_rad)
     rho = 0.5 * (xg + 1.0)
     wr = 0.5 * wg
     psi = 2.0 * math.pi * (np.arange(n_ang) + 0.31) / n_ang
-    for kk in range(ncone):
-        Rz = mesh.cone_patches[kk].outer_radius
-        Rx = math.sqrt(2.0 * Rz)
-        for rr, ww in zip(rho, wr):
-            for ps in psi:
-                x = Rx * rr * np.exp(1j * ps)
-                w = abs(x) * (Rx ** 2 * rr * ww * 2.0 * math.pi / n_ang)
-                vals = [th.szego_kernel(char, periods, ("cone", i, 0.0),
-                                        ("cone", kk, x), delta=delta)
-                        for i in range(ncone)]
-                for i in range(ncone):
-                    for j in range(ncone):
-                        gram[i, j] += w * vals[i] * np.conj(vals[j])
+    for k, patch in enumerate(mesh.cone_patches):
+        Rx = math.sqrt(2.0 * patch.outer_radius)
+        x = (Rx * rho[:, None] * np.exp(1j * psi)).ravel()
+        w = np.abs(x) * np.repeat(Rx ** 2 * rho * wr * 2.0 * math.pi / n_ang,
+                                  n_ang)
+        vals = fields(("cone", k, x))
+        gram += (vals * w) @ np.conj(vals).T
     return gram
-
-
-def szego_norm_direct(periods, char, k, delta=None, n_rad=20, n_ang=40):
-    """Direct quadrature of ||S(P_k, .)||^2 (= pi^2 T_kk(0))."""
-    gram = s_gram_direct(periods, char, delta=delta, n_rad=n_rad, n_ang=n_ang)
-    return float(gram[k, k].real)
 
 
 # ---------------------------------------------------------------------------

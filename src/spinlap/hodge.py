@@ -200,10 +200,11 @@ class PeriodData:
     def genus(self):
         return self.mesh.genus
 
-    # ----- point handles: int vertex | ("tri", t, z) | ("cone", k, x)
+    # ----- point handles: int vertex | ("tri", t, z) | ("cone", k, x); abel
+    # and h_delta also take batches: a vertex id array, or a 1-D array x
     def abel(self, pt):
-        if isinstance(pt, (int, np.integer)):
-            return self.abel_vertex[:, int(pt)]
+        if isinstance(pt, (int, np.integer, np.ndarray)):
+            return self.abel_vertex[:, pt]
         kind = pt[0]
         if kind == "tri":
             _, t, z = pt
@@ -211,7 +212,7 @@ class PeriodData:
             z0 = self.mesh.tri_pos[t][0]
             return self.abel_vertex[:, int(tri[0])] + self.v_tri[:, t] * (complex(z) - z0)
         if kind == "cone":
-            return self.cone_series(pt[1], complex(pt[2]))[1]
+            return self.cone_series(pt[1], pt[2])[1]
         raise ValueError(f"unknown point handle {pt!r}")
 
     def v(self, pt):
@@ -230,7 +231,7 @@ class PeriodData:
 
     def upsilon_dx(self, k, x):
         """(upsilon_i / dx_k)(x), the holomorphic cone-chart ratio."""
-        return self.cone_series(k, complex(x))[0]
+        return self.cone_series(k, x)[0]
 
     def cone_series(self, k, x):
         """(upsilon_i / dx_k, Abel map) at the distinguished coordinates x of
@@ -307,21 +308,17 @@ class PeriodData:
         return signs
 
     def h_delta(self, delta, pt):
+        if isinstance(pt, (int, np.integer, np.ndarray)):
+            h2 = self.h_delta_sq_vertex(delta)[pt]
+            return self._h_sign_field(delta)[pt] * np.sqrt(h2)
         grad = self.theta_gradient0(delta)
-        if isinstance(pt, (int, np.integer)):
-            h2 = complex(grad @ self.v_vertex[:, int(pt)])
-            return self._h_sign_field(delta)[int(pt)] * np.sqrt(h2)
         if pt[0] == "cone":
             _, k, x = pt
             # h in the x_k-trivialization: h^2 = sum_i grad_i (upsilon_i/dx)(x)
-            h2 = complex(grad @ self.upsilon_dx(k, complex(x)))
-            return np.sqrt(h2)
+            return np.sqrt(grad @ self.upsilon_dx(k, x))
         h2 = complex(grad @ self.v(pt))
         # inherit the sign of the nearest vertex of the reference triangle
-        t = pt[1]
-        v0 = int(self.mesh.triangles[t][0])
-        s = self._h_sign_field(delta)[v0]
-        ref = s * np.sqrt(complex(grad @ self.v_vertex[:, v0]))
+        ref = self.h_delta(delta, self.mesh.triangles[pt[1]][0])
         val = np.sqrt(h2)
         return val if abs(val - ref) <= abs(val + ref) else -val
 
@@ -440,7 +437,7 @@ def _vertex_v(mesh, v_tri):
     """Area-weighted mean of the per-triangle v_i over each vertex's
     triangles."""
     corners = mesh.triangles.ravel()
-    areas = np.repeat(mesh.triangle_areas(), 3)
+    areas = np.repeat(mesh.signed_areas(), 3)
 
     def gather(values):
         return np.bincount(corners, weights=values, minlength=mesh.n_vertices)

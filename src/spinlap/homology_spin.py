@@ -292,17 +292,13 @@ def measure_szego_monodromy(char, periods, torus, which, z0=None, delta=None,
         path = mesh.cycle_paths[torus][which]
     if z0 is None:
         z0 = _far_vertex(mesh, path)
-    vals = [th.szego_kernel(char, periods, z0, int(v), delta=delta) for v in path]
-    sign = 1
-    cur = vals[0]
-    worst = 0.0
-    for k in range(1, len(vals)):
-        keep = abs(sign * vals[k] - cur)
-        flip = abs(-sign * vals[k] - cur)
-        worst = max(worst, min(keep, flip) / max(keep, flip))
-        if keep > flip:
-            sign = -sign
-        cur = sign * vals[k]
+    vals = th.szego_kernel(char, periods, z0, np.asarray(path, dtype=int),
+                           delta)
+    # each step keeps the branch closer to the previous value
+    keep = np.abs(vals[1:] - vals[:-1])
+    flip = np.abs(vals[1:] + vals[:-1])
+    sign = -1 if np.count_nonzero(keep > flip) % 2 else 1
+    worst = float(np.max(np.minimum(keep, flip) / np.maximum(keep, flip)))
     if return_quality:
         return sign, worst
     return sign

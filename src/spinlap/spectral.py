@@ -63,6 +63,7 @@ from scipy.special import exp1
 from .cone_analysis import (cone_trace_constant, det_t_exponent,
                             pencil_coefficients)
 from .errors import SpinlapError
+from .hodge import _tree_levels
 from .surface import cone_angle, slit_sign
 
 EXTENSIONS = ("friedrichs", "szego", "holomorphic", "holomorphic_local")
@@ -329,31 +330,12 @@ def _border_triplets(dofs, cols, wq, hat, E):
             np.concatenate([vals, np.conj(vals), gram.ravel()])), gram
 
 
-def szego_section_raw(periods, char, k, delta):
-    """Theta-route vertex values of the section S(., P_k), on the spanning-
-    tree branches of h_delta and of the Abel map (not in the FEM gauge).
-    Products f_i conj(f_j) of two such fields at one vertex are gauge-free."""
-    from . import theta as th
-    pk = ("cone", k, 0.0)
-    t0 = periods.theta0(char)
-    a_pk = periods.abel(pk)
-    h_pk = periods.h_delta(delta, pk)
-    w = (periods.abel_vertex - a_pk[:, None]).T          # (nv, g)
-    num, den = th.theta_batch([char, delta], w, periods.b_matrix)
-    h2 = periods.h_delta_sq_vertex(delta)
-    hz = periods._h_sign_field(delta) * np.sqrt(h2)
-    # S(z, P_k) = theta[pq](A(z)-A(P_k)) h(z) h(P_k) / (theta0 * (-theta[d](A(z)-A(P_k))))
-    # from S = theta(A(z)-A(pk)) / (t0 E(z, pk)), E(z, pk) = theta_d(A(pk)-A(z))/(h h)
-    vals = num * hz * h_pk / (t0 * (-den))
-    vals[np.abs(den) < 1e-300] = 0.0
-    return vals
-
-
 def szego_section_field(periods, char, k, lift, delta=None):
-    """Vertex values of the section S(., P_k) in the FEM gauge.
+    """Vertex values of the section S(P_k, .) in the FEM gauge.
 
-    The raw theta-route values (szego_section_raw) differ from the FEM gauge
-    by a sign field mu(v) = +-1.  A smooth section's dof values satisfy
+    The theta-route values of szego_kernel, on the spanning-tree branches of
+    h_delta and of the Abel map, differ from the FEM gauge by a sign field
+    mu(v) = +-1.  A smooth section's dof values satisfy
     f_v ~ eps_uv f_u across each edge, so mu is propagated by that rule from
     the largest value off the cone vertices over a maximum-reliability tree:
     the spanning tree of the non-spoke edges that maximizes the smaller |f|
@@ -362,9 +344,11 @@ def szego_section_field(periods, char, k, lift, delta=None):
     """
     from . import theta as th
     mesh = periods.mesh
+    nv = mesh.n_vertices
     if delta is None:
         delta = th.odd_characteristics(periods.genus)[0]
-    vals = szego_section_raw(periods, char, k, delta)
+    vals = th.szego_kernel(char, periods, ("cone", k, 0.0), np.arange(nv),
+                           delta)
     absv = np.abs(vals)
     edges = mesh.edge_table.edges[lift.edge_sign != 0]      # spokes dropped
     # tree cost: rank of the edge by descending min |f|, strictly positive
@@ -373,7 +357,6 @@ def szego_section_field(periods, char, k, lift, delta=None):
                       kind="stable")
     cost = np.empty(len(edges))
     cost[rank] = np.arange(1.0, len(edges) + 1.0)
-    nv = mesh.n_vertices
     tree = csgraph.minimum_spanning_tree(
         sp.coo_matrix((cost, (edges[:, 0], edges[:, 1])), shape=(nv, nv)))
     # the cone vertices have no tree edges; the pole's own value is rounding
@@ -384,8 +367,9 @@ def szego_section_field(periods, char, k, lift, delta=None):
     ref = lift.edge_sign[mesh.edge_table.lookup(parent, child)[0]] * vals[parent]
     rel = np.where(np.abs(vals[child] - ref) <= np.abs(vals[child] + ref), 1, -1)
     mu = np.ones(nv, dtype=np.int8)
-    for v, u, s in zip(child.tolist(), parent.tolist(), rel.tolist()):
-        mu[v] = s * mu[u]
+    for level in _tree_levels((order, pred)):
+        v = order[level]
+        mu[v] = rel[level.start - 1:level.stop - 1] * mu[pred[v]]
     return mu * vals
 
 

@@ -370,10 +370,6 @@ class SpinMesh:
             self._covers[torus] = TorusCover.build(self, torus)
         return self._covers[torus]
 
-    def edges(self):
-        """Sorted unique undirected edges as an (ne, 2) array."""
-        return self.edge_table.edges
-
     def edge_vectors(self):
         """omega along each table edge, from edges[:, 0] to edges[:, 1], read
         off the corner positions of the edge's first triangle side (exact
@@ -381,11 +377,6 @@ class SpinMesh:
         table = self.edge_table
         sides = (np.roll(self.tri_pos, -1, axis=1) - self.tri_pos) * table.sign
         return sides.ravel()[table.slots[:, 0]]
-
-    def triangle_areas(self):
-        p = self.tri_pos
-        cr = ((p[:, 1] - p[:, 0]) * np.conj(p[:, 2] - p[:, 0])).imag
-        return 0.5 * np.abs(cr)
 
     def signed_areas(self):
         p = self.tri_pos

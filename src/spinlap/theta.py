@@ -313,15 +313,27 @@ def szego_kernel(char, periods, z, zp, delta=None):
 
     S(z, z') = theta[p,q](A(z') - A(z)) / (theta[p,q](0) E(z', z)); it is
     antisymmetric and S(z, z') = 1/(z - z') + O(1) near the diagonal.
+
+    zp may be a batch: an integer array of vertex ids, or ("cone", k, x)
+    with a 1-D array x of distinguished coordinates.  A batch needs delta
+    and gives an array, from one theta_batch call.  A vertex value whose
+    theta[delta] denominator underflows is set to 0.
     """
     if not char.is_even:
         raise ValueError("Szego kernel requires an even characteristic")
     t0 = periods.theta0(char)
     if abs(t0) < THETA0_TOL:
         raise DegenerateSpinError(f"theta{char.label()}(0) ~ 0")
-    w = periods.abel(zp) - periods.abel(z)
-    num = theta(char, w, periods.b_matrix)
-    return num / (t0 * prime_form(periods, zp, z, delta=delta))
+    if delta is None:
+        delta = choose_odd_characteristic(periods, (z, zp))
+    w = periods.abel(zp).T - periods.abel(z)
+    num, den = theta_batch([char, delta], w, periods.b_matrix)
+    # E(z', z) = theta[delta](A(z) - A(z')) / (h(z') h(z)), theta[delta] odd
+    vals = (num * periods.h_delta(delta, zp) * periods.h_delta(delta, z)
+            / (t0 * -den))
+    if isinstance(zp, np.ndarray):
+        vals[np.abs(den) < 1e-300] = 0.0
+    return vals if w.ndim == 2 else vals[0]
 
 
 def szego_a0_formula(char, periods, z):

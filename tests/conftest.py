@@ -64,3 +64,18 @@ def g2_friedrichs_coarse(g2_mesh_coarse, g2_even_spins):
     lift = hs.build_sign_lift(g2_mesh_coarse, spin)
     op = spec.assemble_operator(g2_mesh_coarse, lift, "friedrichs")
     return spec.eigenvalues(op, 280)
+
+
+@pytest.fixture(scope="session")
+def g2_h05():
+    m = sf.ModuliPoint(genus=2, A=[1.0, 1.0], B=[1j, 2j], C=[0.2, 0.5])
+    mesh = sf.generate_mesh(sf.build_surface(m), h=0.05)
+    spin = hs.enumerate_spin_structures(2)[0]
+    return mesh, spin, hs.build_sign_lift(mesh, spin)
+
+
+@pytest.fixture(scope="session")
+def g2_h05_periods(g2_h05):
+    mesh, spin, _ = g2_h05
+    pd = hodge.period_matrix(mesh)
+    return pd, hs.calibrate_characteristic((spin.sigma_a, spin.sigma_b), pd)

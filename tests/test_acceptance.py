@@ -174,7 +174,7 @@ def test_criterion_7_t0_structure(g2_surface_s, g2_periods_fine, g2_even_spins):
     data = det.t_matrix_zero(g2_surface_s, g2_periods_fine, char)
     herm = data.hermiticity_defect()
     mineig = data.min_eigenvalue()
-    direct = det.szego_norm_direct(g2_periods_fine, char, 0)
+    direct = det.s_gram_direct(g2_periods_fine, char)[0, 0].real
     ref = math.pi ** 2 * data.t0[0, 0].real
     combined = math.pi ** 2 * data.quadrature_error + 0.02 * ref
     _report(7, "T(0) Hermitian PD + diagonal cross-check",

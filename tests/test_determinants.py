@@ -41,7 +41,7 @@ def test_t0_sgram_relation(g2_t0):
 
 def test_t0_diagonal_cross_check(g2_t0):
     _, pd, _, char, _, data = g2_t0
-    direct = det.szego_norm_direct(pd, char, 0)
+    direct = det.s_gram_direct(pd, char)[0, 0].real
     ref = math.pi ** 2 * data.t0[0, 0].real
     combined = math.pi ** 2 * data.quadrature_error + 0.02 * ref
     assert abs(direct - ref) < combined
@@ -102,7 +102,7 @@ def test_t0_bulk_rule_leaves_out_the_cone_patches():
                   & (far <= r0 * (1.0 + 1e-9)))
         assert not np.any(inside), f"{inside.sum()} patch triangles in the bulk"
         polygons += n * r0 ** 2 * math.sin(2.0 * math.pi / n)
-    bulk_area = mesh.triangle_areas()[bulk].sum()
+    bulk_area = mesh.signed_areas()[bulk].sum()
     assert bulk_area == pytest.approx(sf.flat_area(s) - polygons, rel=1e-12)
 
 
@@ -174,6 +174,24 @@ def test_bergman_projection_idempotent(g2_t0):
     gram = det.s_gram_direct(pd, char)
     proj = np.linalg.inv(data.s_gram) @ gram
     assert np.max(np.abs(proj - np.eye(2))) < 0.03
+
+
+# s_gram_direct on g2_h05 before its polar rule went through batched
+# kernel calls (the scalar route, node by node)
+_S_GRAM_G2_H05 = np.array(
+    [[97.33717802242376 - 6.848269650357144e-18j,
+      21.383898705394873 - 21.38869104308944j],
+     [21.383898705394873 + 21.388691043089434j,
+      97.36588181835087 + 4.7635313156234234e-18j]])
+
+
+def test_s_gram_direct_is_pinned(g2_h05_periods):
+    # the cross-checks against T(0) allow pi^2 quadrature_error + 2 %, which
+    # a misordered node weight would pass; this pins every entry
+    pd, char = g2_h05_periods
+    gram = det.s_gram_direct(pd, char)
+    err = np.max(np.abs(gram - _S_GRAM_G2_H05))
+    assert err <= 1e-13 * np.max(np.abs(_S_GRAM_G2_H05))
 
 
 def test_spin_independence_same_spin_exact(g2_t0):

@@ -217,6 +217,32 @@ def test_szego_near_diagonal_on_g2(g2_pd):
     assert abs(a0 - ref) < 1e-5 * max(1.0, abs(ref))
 
 
+@pytest.mark.parametrize("batch", ["vertices", "cone 0", "cone 1"])
+def test_batched_szego_kernel_is_the_prime_form_quotient(g2_pd, batch):
+    # one batch call equals theta(A(z') - A(z)) / (theta(0) E(z', z)) with
+    # the scalar prime form, point by point; the pole is cone 0, and the
+    # cone-chart batches lie in its own patch and in the other one
+    char = max(th.even_characteristics(2), key=lambda c: abs(g2_pd.theta0(c)))
+    delta = th.odd_characteristics(2)[0]
+    mesh, pole = g2_pd.mesh, ("cone", 0, 0.0)
+    if batch == "vertices":
+        ids = np.setdiff1d(np.arange(0, mesh.n_vertices, 7),
+                           mesh.cone_vertex_ids())
+        zp, points = ids, list(ids)
+    else:
+        k = int(batch[-1])
+        r = math.sqrt(2.0 * mesh.cone_patches[k].outer_radius)
+        x = r * np.linspace(0.1, 0.9, 9) * np.exp(1j * np.linspace(0, 12, 9))
+        zp, points = ("cone", k, x), [("cone", k, xi) for xi in x]
+    got = th.szego_kernel(char, g2_pd, pole, zp, delta)
+    ref = np.array([th.theta(char, g2_pd.abel(p) - g2_pd.abel(pole),
+                             g2_pd.b_matrix)
+                    / (g2_pd.theta0(char) * th.prime_form(g2_pd, p, pole, delta))
+                    for p in points])
+    assert got.shape == ref.shape
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
+
+
 def test_genus3_period_matrix():
     m3 = sf.ModuliPoint(genus=3, A=[1.0, 1.6, 1.0], B=[1.3j, 1.3j, 1.3j],
                         C=[0.15, 0.5, 0.75, 1.1])

@@ -159,6 +159,36 @@ def test_g1_calibration_matches_default():
     assert hs.measure_szego_monodromy(cal, pd, 0, "b") == -1
 
 
+def test_szego_monodromy_tracking_is_the_step_loop(g2_setup, monkeypatch):
+    # the branch tracking along the path is array code; it must keep the
+    # sign and worst ambiguity of the step-by-step continuation of the same
+    # kernel values (np.abs over an array can round |z| one unit in the
+    # last place away from the scalar abs)
+    _, pd = g2_setup
+    char = hs.calibrate_characteristic(((-1, -1), (-1, -1)), pd)
+    kernel, seen = th.szego_kernel, []
+
+    def recorded(*args, **kwargs):
+        seen.append(kernel(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(th, "szego_kernel", recorded)
+    for torus in range(2):
+        for which in "ab":
+            got = hs.measure_szego_monodromy(char, pd, torus, which,
+                                             return_quality=True)
+            vals = seen[-1]
+            sign, cur, worst = 1, vals[0], 0.0
+            for val in vals[1:]:
+                keep, flip = abs(sign * val - cur), abs(-sign * val - cur)
+                worst = max(worst, min(keep, flip) / max(keep, flip))
+                if keep > flip:
+                    sign = -sign
+                cur = sign * val
+            assert got[0] == sign
+            assert abs(got[1] - worst) <= 8 * np.finfo(float).eps
+
+
 def test_calibration_idempotent(g2_setup):
     _, pd = g2_setup
     sig = ((-1, 1), (1, -1))

@@ -61,14 +61,6 @@ def _dbar_gram(mesh, lift):
     return dof[rows[keep]], dof[cols[keep]], gram[keep]
 
 
-@pytest.fixture(scope="module")
-def g2_h05():
-    m = sf.ModuliPoint(genus=2, A=[1.0, 1.0], B=[1j, 2j], C=[0.2, 0.5])
-    mesh = sf.generate_mesh(sf.build_surface(m), h=0.05)
-    spin = hs.enumerate_spin_structures(2)[0]
-    return mesh, spin, hs.build_sign_lift(mesh, spin)
-
-
 @pytest.mark.parametrize("setup", ["torus_setup", "g2_h05"])
 def test_friedrichs_pencil_is_the_real_dbar_gram(setup, request):
     mesh, _, lift, *_ = request.getfixturevalue(setup)
@@ -83,13 +75,6 @@ def test_friedrichs_pencil_is_the_real_dbar_gram(setup, request):
     # and the stiffness has nothing outside the Gram's vertex pairs
     assert abs(op.stiffness).sum() == pytest.approx(np.abs(entries).sum(),
                                                     rel=1e-12)
-
-
-@pytest.fixture(scope="module")
-def g2_h05_periods(g2_h05):
-    mesh, spin, _ = g2_h05
-    pd = hodge.period_matrix(mesh)
-    return pd, hs.calibrate_characteristic((spin.sigma_a, spin.sigma_b), pd)
 
 
 def test_enriched_pencils_stay_complex(g2_h05, g2_h05_periods):

@@ -148,7 +148,7 @@ def test_g2_mesh_valid(g2_mesh):
 
 def test_euler_characteristic(g2_mesh):
     nv = g2_mesh.n_vertices
-    ne = len(g2_mesh.edges())
+    ne = len(g2_mesh.edge_table.edges)
     nf = g2_mesh.n_triangles
     assert nv - ne + nf == 2 - 2 * g2_mesh.genus
 
@@ -232,7 +232,7 @@ def test_torus_cycle_periods():
 
 
 def test_mesh_areas_sum_to_flat_area(g2_mesh):
-    total = g2_mesh.triangle_areas().sum()
+    total = g2_mesh.signed_areas().sum()
     assert abs(total - sf.flat_area(g2_mesh.surface)) < 1e-10
 
 
@@ -281,7 +281,7 @@ def test_patch_triangles_tile_the_outer_ring_polygon(moduli, h):
     # with every corner within the outer radius r0, and they tile the
     # inscribed polygon of 2 n_ang sides on the 4 pi cone
     mesh = sf.generate_mesh(sf.build_surface(moduli), h=h)
-    area = mesh.triangle_areas()
+    area = mesh.signed_areas()
     for patch in mesh.cone_patches:
         r0, n = patch.outer_radius, patch.n_ang
         far = np.max(np.abs(mesh.tri_pos - patch.cone.position), axis=1)
@@ -380,7 +380,7 @@ def test_genus3_build_and_mesh():
     assert len(s3.cone_points) == 4
     assert sf.flat_area(s3) == pytest.approx(4.68, abs=1e-12)
     mesh = sf.generate_mesh(s3, h=0.045)
-    nv, ne, nf = mesh.n_vertices, len(mesh.edges()), mesh.n_triangles
+    nv, ne, nf = mesh.n_vertices, len(mesh.edge_table.edges), mesh.n_triangles
     assert nv - ne + nf == 2 - 2 * 3
     for j in range(3):
         pa = sf.cycle_period(mesh, mesh.cycle_paths[j]["a"])
